@@ -9,7 +9,9 @@
 //! * [`vlock`] — the TL2-style versioned-lock + global-clock commit
 //!   protocol from `rubic-stm` (`vlock.rs` / `clock.rs` / `tvar.rs`),
 //!   with every memory ordering configurable so the mutation self-test
-//!   can weaken one and assert the checker catches it.
+//!   can weaken one and assert the checker catches it. Its read-only
+//!   reader (TL2's `Stm::read_only` path: no read set, `version <= rv`
+//!   per read) has its own mutation, which drops the `rv` check.
 //! * [`epoch`] — the pin / retire / prefix-drain protocol of the
 //!   vendored `crossbeam-epoch`-style reclamation, instance-based so
 //!   executions are independent, with the drain threshold configurable

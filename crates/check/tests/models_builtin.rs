@@ -91,6 +91,44 @@ fn version_guarded_payload_needs_acquire_sample() {
     assert_eq!(report.expect_failure().kind, FailureKind::Race);
 }
 
+/// TL2's read-only reader passes: each read unlocked at
+/// `version <= rv` is enough for a consistent cut, with no read set.
+#[test]
+fn vlock_read_only_reader_passes() {
+    let model = vlock::VLockModel {
+        reader: vlock::Reader::ReadOnly,
+        ..vlock::VLockModel::default()
+    };
+    check(
+        Config::pct(0xB1C, rubic_check::env_iters(128)),
+        vlock::model(model),
+    )
+    .assert_ok();
+}
+
+/// Mutation self-test for the read-only reader: without the
+/// `version <= rv` check it must be caught within a bounded budget as a
+/// torn snapshot, replayable from its trace.
+#[test]
+fn vlock_read_only_without_rv_check_is_caught_and_replays() {
+    let mutated = vlock::VLockModel {
+        reader: vlock::Reader::ReadOnly,
+        skip_rv_check: true,
+        ..vlock::VLockModel::default()
+    };
+    let report = check(Config::pct(0x5EAD, 256), vlock::model(mutated));
+    let failure = report.expect_failure().clone();
+    assert_eq!(failure.kind, FailureKind::Panic, "torn snapshot expected");
+
+    let replayed = check(Config::replay_trace(&failure.trace), vlock::model(mutated));
+    let rf = replayed.expect_failure();
+    assert_eq!(rf.kind, failure.kind, "trace replay reproduces the kind");
+    assert_eq!(
+        rf.trace, failure.trace,
+        "trace replay reproduces the schedule"
+    );
+}
+
 /// The multi-version snapshot protocol with the production retention
 /// rule passes: every explored schedule yields consistent snapshot cuts
 /// and no pinned snapshot ever observes a pruned version.

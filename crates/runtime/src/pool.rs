@@ -186,9 +186,9 @@ struct Shared {
     ///
     /// `level`, `running` and `budget` are each padded onto their own
     /// cache line: every worker polls `level`/`running` on every task
-    /// and RMWs `budget`, so letting any two share a line would
-    /// false-share the hottest loads in the pool with the hottest
-    /// store (`budget`'s `fetch_sub`).
+    /// and, in finite-queue mode, RMWs `budget`, so letting any two
+    /// share a line would false-share the hottest loads in the pool with
+    /// the hottest store (`budget`'s `fetch_sub`).
     level: CachePadded<AtomicU32>,
     running: CachePadded<AtomicBool>,
     /// Pool size `S` (worker count); the fixed upper bound on `level`.
@@ -204,8 +204,9 @@ struct Shared {
     /// plain thread-local counters.
     slots: Vec<CachePadded<WorkerSlot>>,
     /// Remaining task budget; negative means "exhausted, stop".
-    /// `i64::MAX` when unbounded.
-    budget: CachePadded<AtomicI64>,
+    /// Untouched when unbounded (`None`): a shared RMW per task would
+    /// move this line between cores on every task of every workload.
+    budget: Option<CachePadded<AtomicI64>>,
     /// Tasks that panicked instead of completing (see `worker_loop`).
     panics: AtomicU64,
     /// Stall warnings raised by the monitor's livelock watchdog.
@@ -228,10 +229,9 @@ impl Shared {
             slots: (0..cfg.size)
                 .map(|_| CachePadded::new(WorkerSlot::default()))
                 .collect(),
-            budget: CachePadded::new(AtomicI64::new(
-                cfg.task_budget
-                    .map_or(i64::MAX, |b| i64::try_from(b).unwrap_or(i64::MAX)),
-            )),
+            budget: cfg
+                .task_budget
+                .map(|b| CachePadded::new(AtomicI64::new(i64::try_from(b).unwrap_or(i64::MAX)))),
             panics: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
             placement: cfg.placement.clone(),
@@ -579,7 +579,11 @@ fn worker_loop<W: Workload>(tid: usize, shared: &Shared, workload: &W) {
         }
 
         // Task budget (finite-queue mode).
-        if shared.budget.fetch_sub(1, Ordering::AcqRel) <= 0 {
+        let exhausted = shared
+            .budget
+            .as_ref()
+            .is_some_and(|b| b.fetch_sub(1, Ordering::AcqRel) <= 0);
+        if exhausted {
             shared.shutdown();
             break;
         }

@@ -34,12 +34,13 @@ use fxhash::FxHashMap;
 /// the scan length and the one-time backfill at spill.
 ///
 /// The per-node B-tree (`rubic-workloads::btree`, branch fanout 16,
-/// leaf capacity 32) was sized with this threshold in mind: a
-/// root-to-leaf descent at the
-/// stmbench instance size (4 K entries) reads 3–4 node `TVar`s and a
-/// non-structural update writes one, so both access sets stay inline.
-/// Only split/merge transactions (a few percent of write-heavy ops)
-/// spill, and those already pay for node reconstruction.
+/// leaf capacity 32) stays inline only at small sizes: at the stmbench
+/// instance size (4 K entries) a root-to-leaf descent reads 3 node
+/// `TVar`s and a non-structural update writes one. At the paper's RBT
+/// size (64 K entries) a descent reads 5 nodes (perfbench's
+/// `stm.reads_per_commit` is 5.0 on `rbt-read`), so every insert and
+/// remove spills its read index. Lookups run under `Stm::read_only`,
+/// which keeps no read set, and are unaffected.
 pub(crate) const SPILL_THRESHOLD: usize = 4;
 
 /// An insert-only map from lock address to a `Copy` payload, optimised

@@ -2,41 +2,57 @@
 //!
 //! Each [`crate::Stm`] instance owns one [`StmStats`]: cache-padded
 //! atomic totals updated once per transaction attempt with `Relaxed`
-//! ordering. That is deliberately *not* the paper's throughput path —
+//! ordering. The counters every commit bumps are sharded per thread
+//! (see `SHARDS`); the abort-path ones are plain totals. That is
+//! deliberately *not* the paper's throughput path —
 //! §3.1's thread-local task counters live in `rubic-runtime`, and this
 //! module only provides the commit-rate diagnostics the evaluation
 //! reports (and the abort-rate visibility useful when tuning contention
 //! managers).
 
-use rubic_sync::atomic::{AtomicU64, Ordering};
+use rubic_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 
 use crate::abort::AbortReason;
 
-/// Cumulative transaction statistics for one [`crate::Stm`] instance.
+/// Shards of the commit-path counters. Every commit bumps three or
+/// four counters; as shared totals their cache lines moved between
+/// cores on every commit, and a 98 %-lookup tree ran no faster on two
+/// workers than on one. Each thread bumps the shard its registration
+/// order picks, so up to `SHARDS` threads never share a line, and reads
+/// sum the shards.
+const SHARDS: usize = 8;
+
+/// One thread-group's share of the commit-path counters.
 #[derive(Debug, Default)]
-pub struct StmStats {
-    commits: CachePadded<AtomicU64>,
-    aborts: CachePadded<AtomicU64>,
-    reads: CachePadded<AtomicU64>,
-    writes: CachePadded<AtomicU64>,
-    /// Aborts broken down by [`AbortReason`], indexed by reason code.
-    /// One shared cache line: reason counters are bumped on the abort
-    /// path only, where a miss is already amortised by the backoff.
-    by_reason: [AtomicU64; AbortReason::COUNT],
+struct CommitShard {
+    commits: AtomicU64,
+    reads: AtomicU64,
+    writes: AtomicU64,
     /// Commits by [`crate::Stm::read_only`] transactions (a subset of
     /// `commits`). Unconditional — a plain counter is cheaper than a
     /// cfg'd hole in the snapshot type, and the mvcc abort-freedom claim
     /// (`ro_aborts == 0` under snapshot mode) is benchmarked off it.
-    ro_commits: CachePadded<AtomicU64>,
+    ro_commits: AtomicU64,
+}
+
+/// Cumulative transaction statistics for one [`crate::Stm`] instance.
+#[derive(Debug, Default)]
+pub struct StmStats {
+    shards: [CachePadded<CommitShard>; SHARDS],
+    aborts: CachePadded<AtomicU64>,
+    /// Aborts broken down by [`AbortReason`], indexed by reason code.
+    /// One shared cache line: reason counters are bumped on the abort
+    /// path only, where a miss is already amortised by the backoff.
+    by_reason: [AtomicU64; AbortReason::COUNT],
     /// Aborted attempts inside `read_only` (a subset of `aborts`).
     ro_aborts: CachePadded<AtomicU64>,
-    /// Snapshot transactions demoted to the classic validated protocol
-    /// (registry exhaustion, repeated chain-overflow staleness, or a
-    /// body that wrote). Unconditional for the same reason as
-    /// `ro_commits`: a plain counter beats a cfg'd hole in the
-    /// snapshot type, and it stays 0 in non-mvcc builds.
+    /// Read-only transactions demoted to the classic validated
+    /// protocol: a body that wrote, repeated read-only aborts, or (mvcc
+    /// snapshots) registry exhaustion. Unconditional for the same reason
+    /// as `ro_commits`: a plain counter beats a cfg'd hole in the
+    /// snapshot type.
     snap_demotions: CachePadded<AtomicU64>,
 }
 
@@ -50,10 +66,22 @@ impl StmStats {
     // ordering: pure monotonic counters — no reader derives ownership
     // or publication from them, so Relaxed increments suffice.
     #[inline]
-    pub(crate) fn record_commit(&self, reads: u64, writes: u64) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(reads, Ordering::Relaxed);
-        self.writes.fetch_add(writes, Ordering::Relaxed);
+    pub(crate) fn record_commit(&self, reads: u64, writes: u64, read_only: bool) {
+        let shard = &self.shards[thread_shard()];
+        shard.commits.fetch_add(1, Ordering::Relaxed);
+        shard.reads.fetch_add(reads, Ordering::Relaxed);
+        shard.writes.fetch_add(writes, Ordering::Relaxed);
+        if read_only {
+            shard.ro_commits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Sums one commit-path counter over the shards.
+    fn sum(&self, counter: impl Fn(&CommitShard) -> &AtomicU64) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed)) // ordering: monitoring read of a counter
+            .sum()
     }
 
     // ordering: same counter discipline as `record_commit`.
@@ -65,20 +93,12 @@ impl StmStats {
 
     // ordering: same counter discipline as `record_commit`.
     #[inline]
-    pub(crate) fn record_ro_commit(&self) {
-        self.ro_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // ordering: same counter discipline as `record_commit`.
-    #[inline]
     pub(crate) fn record_ro_abort(&self) {
         self.ro_aborts.fetch_add(1, Ordering::Relaxed);
     }
 
-    // ordering: same counter discipline as `record_commit`. Only called
-    // from the mvcc snapshot fallback path; allowed to be dead elsewhere.
+    // ordering: same counter discipline as `record_commit`.
     #[inline]
-    #[allow(dead_code)]
     pub(crate) fn record_snap_demotion(&self) {
         self.snap_demotions.fetch_add(1, Ordering::Relaxed);
     }
@@ -86,7 +106,7 @@ impl StmStats {
     /// Total committed transactions.
     #[must_use]
     pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.commits)
     }
 
     /// Total aborted attempts.
@@ -117,20 +137,20 @@ impl StmStats {
     /// Total transactional reads performed by committed transactions.
     #[must_use]
     pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.reads)
     }
 
     /// Total transactional writes performed by committed transactions.
     #[must_use]
     pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.writes)
     }
 
     /// Commits by [`crate::Stm::read_only`] transactions (a subset of
     /// [`commits`](Self::commits)).
     #[must_use]
     pub fn ro_commits(&self) -> u64 {
-        self.ro_commits.load(Ordering::Relaxed) // ordering: monitoring read of a counter
+        self.sum(|s| &s.ro_commits)
     }
 
     /// Aborted attempts inside [`crate::Stm::read_only`] (a subset of
@@ -141,8 +161,8 @@ impl StmStats {
         self.ro_aborts.load(Ordering::Relaxed) // ordering: monitoring read of a counter
     }
 
-    /// Snapshot transactions that fell back to the classic validated
-    /// protocol (mvcc mode only; always `0` otherwise).
+    /// Read-only transactions (single-version or mvcc snapshot) that
+    /// fell back to the classic validated protocol.
     #[must_use]
     pub fn snap_demotions(&self) -> u64 {
         self.snap_demotions.load(Ordering::Relaxed) // ordering: monitoring read of a counter
@@ -196,7 +216,7 @@ pub struct StatsSnapshot {
     /// Aborted attempts inside read-only transactions (a subset of
     /// `aborts`).
     pub ro_aborts: u64,
-    /// Snapshot transactions demoted to the classic protocol.
+    /// Read-only transactions demoted to the classic protocol.
     pub snap_demotions: u64,
 }
 
@@ -234,6 +254,29 @@ thread_local! {
     static THREAD_ABORTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// Next shard to hand to a thread's first commit.
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's [`CommitShard`] index (`usize::MAX` until its
+    /// first commit).
+    static THREAD_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+}
+
+/// The calling thread's shard index, assigned round-robin on first use.
+#[inline]
+fn thread_shard() -> usize {
+    THREAD_SHARD.with(|c| {
+        let mut i = c.get();
+        if i == usize::MAX {
+            // ordering: a ticket counter; only uniqueness matters.
+            i = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+            c.set(i);
+        }
+        i
+    })
+}
+
 #[inline]
 pub(crate) fn note_thread_abort() {
     THREAD_ABORTS.with(|c| c.set(c.get() + 1));
@@ -255,32 +298,33 @@ mod tests {
     #[test]
     fn records_accumulate() {
         let s = StmStats::new();
-        s.record_commit(3, 1);
-        s.record_commit(2, 0);
+        s.record_commit(3, 1, false);
+        s.record_commit(2, 0, true);
         s.record_abort(AbortReason::LockBusy);
         assert_eq!(s.commits(), 2);
         assert_eq!(s.aborts(), 1);
         assert_eq!(s.reads(), 5);
         assert_eq!(s.writes(), 1);
+        assert_eq!(s.ro_commits(), 1);
     }
 
     #[test]
     fn abort_rate() {
         let s = StmStats::new();
         assert_eq!(s.abort_rate(), 0.0);
-        s.record_commit(0, 0);
+        s.record_commit(0, 0, false);
         s.record_abort(AbortReason::ReadValidation);
         s.record_abort(AbortReason::LockBusy);
-        s.record_commit(0, 0);
+        s.record_commit(0, 0, false);
         assert!((s.abort_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn snapshot_delta() {
         let s = StmStats::new();
-        s.record_commit(1, 1);
+        s.record_commit(1, 1, false);
         let a = s.snapshot();
-        s.record_commit(1, 1);
+        s.record_commit(1, 1, false);
         s.record_abort(AbortReason::Chaos);
         let b = s.snapshot();
         let d = b.delta_since(&a);
@@ -315,7 +359,7 @@ mod tests {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        s.record_commit(1, 0);
+                        s.record_commit(1, 0, false);
                     }
                 })
             })

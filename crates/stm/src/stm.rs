@@ -62,10 +62,9 @@ impl Stm {
         self.run(false, &mut f)
     }
 
-    /// The classic validated retry loop shared by [`atomically`]
-    /// (`Self::atomically`) and the non-snapshot paths of
-    /// [`read_only`](Self::read_only); `read_only` only adds the
-    /// ro-commit/abort accounting.
+    /// The classic validated retry loop behind [`atomically`]
+    /// (`Self::atomically`) and [`read_only`](Self::read_only)'s
+    /// fallback; `read_only` only adds the ro-commit/abort accounting.
     fn run<R>(&self, read_only: bool, f: &mut impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
         let mut tx = Transaction::begin();
         #[cfg(feature = "mvcc")]
@@ -73,25 +72,10 @@ impl Stm {
         let mut trace = crate::trc::TxTrace::begin();
         let mut attempt: u32 = 0;
         loop {
-            let outcome = {
-                // Run the body, guarding against panics so held write
-                // locks are always released.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
-                match result {
-                    Ok(body) => body,
-                    Err(payload) => {
-                        tx.abort();
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            };
-            match outcome.and_then(|r| tx.commit().map(|()| r)) {
+            match attempt_once(&mut tx, f) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
-                    self.stats.record_commit(reads, writes);
-                    if read_only {
-                        self.stats.record_ro_commit();
-                    }
+                    self.stats.record_commit(reads, writes, read_only);
                     trace.on_commit(reads, writes, attempt + 1);
                     return r;
                 }
@@ -117,62 +101,51 @@ impl Stm {
 
     /// Runs a read-only transaction.
     ///
-    /// Without mvcc mode this is [`atomically`](Self::atomically) plus
-    /// read-only commit/abort accounting (writes are not prevented by
-    /// the type system). With [`StmBuilder::mvcc`] enabled, the
-    /// transaction pins a snapshot timestamp and reads the version
-    /// visible at it: no read-set, no validation, and — outside the
-    /// transient bounded-chain fallback — no aborts. A body that does
-    /// write demotes itself and reruns under the classic protocol.
+    /// The body runs under a read-only protocol that keeps no read set
+    /// and never validates at commit:
+    ///
+    /// * Single-version (the default): TL2's read-only protocol. Each
+    ///   read must find its variable unlocked with `version <= rv`
+    ///   between two samples of the lock word. Only the first read may
+    ///   advance `rv`, because nothing earlier needs validating; a later
+    ///   read of a newer value aborts the attempt, which retries at a
+    ///   fresh `rv`.
+    /// * With [`StmBuilder::mvcc`] enabled, the transaction pins a
+    ///   snapshot timestamp and reads the version visible at it, falling
+    ///   back to the variable's version chain: outside the transient
+    ///   bounded-chain fallback, it never aborts.
+    ///
+    /// Writes are not prevented by the type system: a body that writes
+    /// demotes itself, and the transaction reruns under the classic
+    /// protocol of [`atomically`](Self::atomically). So does one whose
+    /// read-only attempts keep aborting, since the classic protocol can
+    /// extend past a newer value by validating what it read.
     pub fn read_only<R>(&self, mut f: impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
-        #[cfg(feature = "mvcc")]
-        if self.mvcc {
-            return self.read_only_snapshot(&mut f);
-        }
-        self.run(true, &mut f)
-    }
-
-    /// The mvcc snapshot path of [`read_only`](Self::read_only): pin,
-    /// read at the pinned timestamp, commit abort-free. Falls back to
-    /// the always-correct classic loop on registry exhaustion, repeated
-    /// chain-overflow staleness, or demotion (the body wrote).
-    #[cfg(feature = "mvcc")]
-    fn read_only_snapshot<R>(&self, f: &mut impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
-        /// Consecutive `SnapshotStale` re-pins tolerated before giving
-        /// the classic protocol the job: staleness needs a variable to
-        /// outrun its bounded version chain mid-snapshot, so one retry
-        /// almost always suffices and eight means pathological churn.
-        const STALE_LIMIT: u32 = 8;
+        /// Read-only attempts tolerated before the classic protocol takes
+        /// the job. A single-version attempt aborts when a writer commits
+        /// to a variable it has yet to read, and a snapshot when a
+        /// variable outruns its bounded chain; one retry almost always
+        /// suffices, and eight means a long body under pathological churn.
+        const RO_ATTEMPTS: u32 = 8;
         let mut trace = crate::trc::TxTrace::begin();
         let mut attempt: u32 = 0;
         let mut demoted_write = false;
-        for _ in 0..STALE_LIMIT {
-            let Some(mut tx) = Transaction::begin_snapshot() else {
+        while attempt < RO_ATTEMPTS {
+            let Some(mut tx) = self.begin_read_only() else {
                 // Registry full (or writers outran pinning): classic
                 // mode is a correctness-neutral fallback.
                 break;
             };
-            let outcome = {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
-                match result {
-                    Ok(body) => body,
-                    Err(payload) => {
-                        tx.abort();
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            };
-            match outcome.and_then(|r| tx.commit().map(|()| r)) {
+            match attempt_once(&mut tx, &mut f) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
-                    self.stats.record_commit(reads, writes);
-                    self.stats.record_ro_commit();
+                    self.stats.record_commit(reads, writes, true);
                     trace.on_commit(reads, writes, attempt + 1);
                     return r;
                 }
                 Err(_) => {
                     let reason = tx.conflict_reason();
-                    let demoted = tx.snapshot_demoted();
+                    let demoted = tx.demoted();
                     tx.abort();
                     self.stats.record_abort(reason);
                     crate::stats::note_thread_abort();
@@ -185,10 +158,10 @@ impl Stm {
                         demoted_write = true;
                         break;
                     }
-                    // Transient `SnapshotStale` (a chain hit its hard
-                    // cap and dropped the version this snapshot
-                    // needed): re-pin at a fresh timestamp and retry.
                     self.stats.record_ro_abort();
+                    // Dropped first: the backoff runs unpinned.
+                    drop(tx);
+                    self.cm.backoff(attempt);
                 }
             }
         }
@@ -200,7 +173,18 @@ impl Stm {
         if !demoted_write {
             crate::trc::snap_demote(0, 0, 0);
         }
-        self.run(true, f)
+        self.run(true, &mut f)
+    }
+
+    /// Begins one read-only attempt: a snapshot in mvcc mode (`None`
+    /// when the registry is saturated), else a single-version read-only
+    /// transaction.
+    fn begin_read_only(&self) -> Option<Transaction> {
+        #[cfg(feature = "mvcc")]
+        if self.mvcc {
+            return Transaction::begin_snapshot();
+        }
+        Some(Transaction::begin_read_only())
     }
 
     /// This runtime's statistics.
@@ -220,6 +204,22 @@ impl Stm {
     #[must_use]
     pub fn is_mvcc(&self) -> bool {
         self.mvcc
+    }
+}
+
+/// Runs one attempt of `f` on `tx` and commits it. A panicking body
+/// releases every held lock before the panic propagates, so it never
+/// wedges other threads.
+fn attempt_once<R>(
+    tx: &mut Transaction,
+    f: &mut impl FnMut(&mut Transaction) -> TxResult<R>,
+) -> TxResult<R> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(tx))) {
+        Ok(body) => body.and_then(|r| tx.commit().map(|()| r)),
+        Err(payload) => {
+            tx.abort();
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -423,6 +423,128 @@ mod tests {
         }
         assert_eq!(v.snapshot(), threads * per_thread);
         assert_eq!(stm.stats().commits(), threads * per_thread);
+    }
+
+    #[test]
+    fn read_only_keeps_no_read_set() {
+        let stm = Stm::default();
+        let vars: Vec<TVar<u64>> = (0..6).map(TVar::new).collect();
+        let sum = stm.read_only(|tx| {
+            let mut sum = 0;
+            for v in &vars {
+                sum += tx.read(v)?;
+                sum += tx.read_with(v, |x| *x)?;
+            }
+            assert_eq!(tx.read_set_len(), 0, "read-only reads must record nothing");
+            Ok(sum)
+        });
+        assert_eq!(sum, 30);
+        assert_eq!(stm.stats().ro_commits(), 1);
+        assert_eq!(stm.stats().reads(), 12, "every read still counts");
+        assert_eq!(stm.stats().aborts(), 0);
+    }
+
+    #[test]
+    fn read_only_that_writes_demotes_to_classic() {
+        let stm = Stm::default();
+        let v = TVar::new(1u64);
+        let got = stm.read_only(|tx| {
+            let x = tx.read(&v)?;
+            tx.write(&v, x + 1)?;
+            Ok(x + 1)
+        });
+        assert_eq!(got, 2);
+        assert_eq!(v.snapshot(), 2);
+        // Demotion is a mode switch, not a read-only abort.
+        assert_eq!(stm.stats().ro_aborts(), 0);
+        assert_eq!(stm.stats().ro_commits(), 1);
+        assert_eq!(stm.stats().snap_demotions(), 1);
+    }
+
+    #[test]
+    fn read_only_first_read_extends_past_a_newer_value() {
+        let stm = Stm::default();
+        let other = Stm::default();
+        let x = TVar::new(0u64);
+        let mut first = true;
+        let got = stm.read_only(|tx| {
+            if first {
+                // Commits after this attempt sampled `rv`.
+                first = false;
+                other.atomically(|t| t.write(&x, 7));
+            }
+            tx.read(&x)
+        });
+        assert_eq!(got, 7);
+        assert_eq!(
+            stm.stats().aborts(),
+            0,
+            "a first read extends, never aborts"
+        );
+        assert_eq!(stm.stats().ro_commits(), 1);
+    }
+
+    #[test]
+    fn read_only_later_read_of_a_newer_value_aborts_and_retries() {
+        use crate::AbortReason;
+        let stm = Stm::default();
+        let other = Stm::default();
+        let x = TVar::new(1u64);
+        let y = TVar::new(2u64);
+        let mut first = true;
+        let got = stm.read_only(|tx| {
+            let a = tx.read(&x)?;
+            if first {
+                first = false;
+                other.atomically(|t| t.write(&y, 20));
+            }
+            let b = tx.read(&y)?;
+            Ok((a, b))
+        });
+        assert_eq!(got, (1, 20), "the retry reads at a fresh rv");
+        assert_eq!(stm.stats().ro_aborts(), 1);
+        assert_eq!(stm.stats().aborts_for(AbortReason::ReadValidation), 1);
+        assert_eq!(stm.stats().ro_commits(), 1);
+        assert_eq!(stm.stats().snap_demotions(), 0, "one abort is no demotion");
+    }
+
+    #[test]
+    fn read_only_sees_no_torn_transfer_under_writers() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let stm = Stm::default();
+        let a = Arc::new(TVar::new(500i64));
+        let b = Arc::new(TVar::new(500i64));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let stm = stm.clone();
+            let (a, b, stop) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut k = 0i64;
+                while !stop.load(Ordering::Relaxed) {
+                    let amount = k % 9 - 4;
+                    stm.atomically(|tx| {
+                        let x = tx.read(&a)?;
+                        let y = tx.read(&b)?;
+                        tx.write(&a, x - amount)?;
+                        tx.write(&b, y + amount)?;
+                        Ok(())
+                    });
+                    k += 1;
+                }
+            })
+        };
+        for _ in 0..2000 {
+            let sum = stm.read_only(|tx| {
+                let x = tx.read(&a)?;
+                let y = tx.read(&b)?;
+                Ok(x + y)
+            });
+            assert_eq!(sum, 1000, "read-only transaction saw a torn transfer");
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        assert_eq!(stm.stats().ro_commits(), 2000);
     }
 
     #[cfg(feature = "mvcc")]

@@ -187,13 +187,12 @@ mod enabled {
         }
     }
 
-    /// Emits a `SnapDemote` event: a snapshot transaction fell back to
-    /// the classic validated protocol. `code` 0 = read-only fallback
-    /// (registry exhaustion or repeated staleness), 1 = the body wrote;
-    /// `addr` names the written variable in the write case (no caller
-    /// in non-mvcc builds).
+    /// Emits a `SnapDemote` event: a read-only transaction (snapshot or
+    /// single-version) fell back to the classic validated protocol.
+    /// `code` 0 = read-only fallback (repeated aborts or registry
+    /// exhaustion), 1 = the body wrote; `addr` names the written
+    /// variable in the write case.
     #[inline]
-    #[allow(dead_code)]
     pub(crate) fn snap_demote(code: u8, rv: u64, addr: usize) {
         if is_enabled() {
             emit(EventKind::SnapDemote, code, rv, 0, addr as u64);

@@ -23,7 +23,7 @@ use std::sync::atomic::Ordering as EpochOrdering; // lint: allow-std-sync — ep
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 
-use crate::vlock::VLock;
+use crate::vlock::{LockWord, VLock};
 use crate::TxValue;
 
 /// Inline chain capacity: the `index::VarIndex` small-set trick applied
@@ -222,35 +222,66 @@ impl<T: TxValue> TVarCore<T> {
         &self.vlock
     }
 
-    /// Clones the currently published value.
+    /// Borrows the currently published value for as long as both this
+    /// core and `guard` are borrowed.
     ///
     /// The caller is responsible for the versioned-lock consistency
     /// protocol (sample → load → re-sample); this method only guarantees
-    /// the clone itself is safe.
+    /// the borrow itself is sound. The value is freed on exactly two
+    /// paths, and neither can run while `'g` lasts:
+    ///
+    /// * `publish`/`publish_versioned` swap it out and retire it through
+    ///   guard-deferred destruction, which waits for every guard pinned
+    ///   before the retirement — including `guard`, pinned before this
+    ///   load.
+    /// * `TVarCore::drop` frees the current value immediately, but only
+    ///   once the last handle is gone, and `&'g self` keeps this core
+    ///   alive for all of `'g`.
+    ///
+    /// So a value borrowed here also keeps alive, for `'g`, every core a
+    /// handle *inside* it points to — which is what lets a B-tree
+    /// descent follow child links without cloning them.
     #[inline]
-    pub(crate) fn load_clone(&self, guard: &Guard) -> T {
+    pub(crate) fn load<'g>(&'g self, guard: &'g Guard) -> &'g T {
         let shared = self.data.load(EpochOrdering::Acquire, guard);
-        // SAFETY: `shared` was published by `TVarCore::new` or `publish`,
-        // both of which store a valid, initialized `T`. The pointer is
-        // retired only through `guard`-deferred destruction, and we hold
-        // a pinned guard, so it cannot be freed during this call.
-        // Published values are never mutated in place, so the shared
-        // borrow cannot race with a write.
-        unsafe { shared.deref() }.clone()
+        // SAFETY: `shared` was published by `new`, `publish` or
+        // `publish_versioned`, which all store a valid, initialized `T`
+        // that is never mutated in place; it stays allocated for `'g`
+        // (see the doc comment: retirement waits for `guard`, and drop
+        // needs `&'g self` to have ended).
+        unsafe { &*shared.as_raw() }
     }
 
-    /// Applies `f` to the currently published value without cloning it.
+    /// The read every protocol shares: the current value, if it is
+    /// unlocked and no newer than `rv`, observed between two identical
+    /// samples of the lock word.
     ///
-    /// Same caller contract as [`load_clone`](Self::load_clone): the
-    /// versioned-lock protocol around this call decides whether the
-    /// observation was consistent.
+    /// `f` runs on the value between the samples (possibly more than
+    /// once, when a commit races the read); its result is returned
+    /// together with the validated word. `Err` carries the word that
+    /// made the value unreadable at `rv` — locked, or `version > rv` —
+    /// and the caller decides: the classic protocol extends `rv` by
+    /// validating its read set, a read-only transaction extends only on
+    /// its first read, and an mvcc snapshot falls back to the version
+    /// chain.
     #[inline]
-    pub(crate) fn with_value<R>(&self, guard: &Guard, f: impl FnOnce(&T) -> R) -> R {
-        let shared = self.data.load(EpochOrdering::Acquire, guard);
-        // SAFETY: identical argument to `load_clone` — valid initialized
-        // pointer, pinned guard prevents reclamation, published values
-        // are immutable.
-        f(unsafe { shared.deref() })
+    pub(crate) fn read_at<'g, R>(
+        &'g self,
+        rv: u64,
+        guard: &'g Guard,
+        f: &mut impl FnMut(&'g T) -> R,
+    ) -> Result<(R, LockWord), LockWord> {
+        loop {
+            let w1 = self.vlock.sample();
+            if w1.is_locked() || w1.version() > rv {
+                return Err(w1);
+            }
+            let result = f(self.load(guard));
+            if self.vlock.sample() == w1 {
+                return Ok((result, w1));
+            }
+            // A commit raced between the two samples; resample.
+        }
     }
 
     /// Publishes `value` as the new current snapshot and retires the old
@@ -326,27 +357,19 @@ impl<T: TxValue> TVarCore<T> {
     /// [`SnapshotMiss`] when the needed version was dropped by a
     /// bounded chain (cap overflow) — the caller re-pins and retries.
     #[cfg(feature = "mvcc")]
-    pub(crate) fn read_at_with<R>(
-        &self,
+    pub(crate) fn read_at_with<'g, R>(
+        &'g self,
         rv: u64,
-        guard: &Guard,
-        f: &mut impl FnMut(&T) -> R,
+        guard: &'g Guard,
+        f: &mut impl FnMut(&'g T) -> R,
     ) -> Result<(R, Option<u64>), SnapshotMiss> {
-        // Fast path: the current version is visible and stable. No
-        // commit during this snapshot's lifetime can stamp `<= rv`
-        // (write stamps are drawn from the clock after `rv` was
-        // pinned), so a current version with `stamp <= rv` *is* the
-        // newest one visible.
-        loop {
-            let w1 = self.vlock.sample();
-            if w1.is_locked() || w1.version() > rv {
-                break;
-            }
-            let result = self.with_value(guard, &mut *f);
-            if self.vlock.sample() == w1 {
-                return Ok((result, None));
-            }
-            // A commit raced between the two samples; resample.
+        // Fast path, the read every protocol shares: the current version
+        // is visible and stable. No commit during this snapshot's
+        // lifetime can stamp `<= rv` (write stamps are drawn from the
+        // clock after `rv` was pinned), so a current version with
+        // `stamp <= rv` *is* the newest one visible.
+        if let Ok((result, _)) = self.read_at(rv, guard, f) {
+            return Ok((result, None));
         }
         // Slow path: locked or too new — resolve through the chain. The
         // history mutex excludes the publish critical section, so the
@@ -379,9 +402,12 @@ impl<T: TxValue> TVarCore<T> {
                     // SAFETY: the entry is still chained and
                     // removal/retire only happen under the history mutex
                     // we hold, so the box is live; chained values are
-                    // immutable.
-                    let result = f(unsafe { &*v.ptr });
-                    return Ok((result, Some(v.stamp)));
+                    // immutable. The borrow may outlive the mutex for
+                    // `'g`: a pruned entry is retired through the epoch
+                    // (deferred past `guard`), and `History::drop` needs
+                    // this core gone, which `&'g self` rules out.
+                    let value: &'g T = unsafe { &*v.ptr };
+                    return Ok((f(value), Some(v.stamp)));
                 }
                 let w = self.vlock.sample();
                 if w.version() > rv {
@@ -393,7 +419,7 @@ impl<T: TxValue> TVarCore<T> {
                 if !w.is_locked() {
                     // Unlocked with `stamp <= rv` under the mutex: the
                     // current value is the newest visible version.
-                    let result = self.with_value(guard, &mut *f);
+                    let result = f(self.load(guard));
                     return Ok((result, None));
                 }
                 // Locked, pre-lock version <= rv. If the owner already
@@ -403,7 +429,7 @@ impl<T: TxValue> TVarCore<T> {
                 // though the vlock is still held.
                 if let Some(top) = history.newest() {
                     if top.succ > w.version() && top.succ <= rv {
-                        let result = self.with_value(guard, &mut *f);
+                        let result = f(self.load(guard));
                         return Ok((result, None));
                     }
                 }
@@ -493,14 +519,11 @@ impl<T: TxValue> TVar<T> {
     pub fn snapshot(&self) -> T {
         let guard = epoch::pin();
         loop {
-            let w1 = self.core.vlock.sample();
-            if w1.is_locked() {
-                std::hint::spin_loop();
-                continue;
-            }
-            let value = self.core.load_clone(&guard);
-            if self.core.vlock.sample() == w1 {
-                return value;
+            // No read version bounds a snapshot: only a held lock fails
+            // the read, and then we spin until the committer releases.
+            match self.core.read_at(u64::MAX, &guard, &mut T::clone) {
+                Ok((value, _)) => return value,
+                Err(_) => std::hint::spin_loop(),
             }
         }
     }

@@ -7,19 +7,36 @@
 //! version* `rv`.
 //!
 //! **Read** (invisible): sample the variable's versioned lock; if locked
-//! by another transaction → conflict. Load and clone the snapshot, then
-//! re-sample the lock — if the word changed, another commit raced the
-//! read and we retry the sample/load/sample sequence. A consistent read
-//! whose version exceeds `rv` triggers a **timestamp extension**:
-//! revalidate the whole read set at the current clock and, if it still
-//! holds, adopt the newer read version (TinySTM/SwissTM; avoids TL2's
-//! false aborts).
+//! by another transaction → conflict. A version newer than `rv`
+//! triggers a **timestamp extension**: revalidate the whole read set at
+//! the current clock and, if it still holds, adopt the newer read
+//! version (TinySTM/SwissTM; avoids TL2's false aborts) and read again.
+//! Otherwise load and clone the snapshot, then re-sample the lock — if
+//! the word changed, another commit raced the read and we retry the
+//! sample/load/sample sequence.
 //!
 //! **Write** (eager lock, lazy value): the first write to a variable
 //! CAS-acquires its lock — failure means a concurrent writer owns it →
 //! conflict (eager W/W detection). If the variable was previously read,
 //! its version must still match the recorded one. The value is buffered
 //! in the private write set; repeated writes just replace the buffer.
+//!
+//! **Read-only mode** ([`crate::Stm::read_only`], TL2's read-only
+//! protocol): reads record nothing — no read-set entry, no index
+//! insert, no `Arc` clone, so a lookup writes no shared cache line.
+//! Each read instead requires the variable to be unlocked with
+//! `version <= rv` across its two samples. Only the first read may
+//! extend `rv`, since nothing read earlier needs validating; a later
+//! read of a newer value aborts the attempt as `ReadValidation`, and
+//! the retry starts at a fresh `rv`. The reads still form a consistent
+//! cut: a writer holds all its locks from before it draws its stamp
+//! until it releases them with it, so a commit stamped `<= rv` that the
+//! reader could half-see leaves some variable locked, and one stamped
+//! `> rv` leaves it too new. A write demotes the attempt, and the body
+//! reruns under the classic protocol. Classic, read-only and mvcc
+//! snapshot reads all go through the same read routine
+//! (`TVarCore::read_at`), and differ only in what a locked or too-new
+//! word means.
 //!
 //! **Commit**: read-only transactions commit immediately — their read
 //! set was kept consistent incrementally. Writers draw a unique
@@ -229,11 +246,19 @@ pub struct TxFootprint {
 /// [`TxResult`]; propagate errors with `?` so a conflicted attempt
 /// unwinds promptly and retries.
 pub struct Transaction {
-    rv: u64,
     /// Epoch guard pinned once per attempt (repinned at `restart`), so
     /// individual reads and the commit's publish loop never pay the
     /// pin/unpin protocol.
     guard: Guard,
+    /// Everything else. Kept apart from `guard` so a read can borrow
+    /// the guard for as long as it holds a value while it updates the
+    /// access sets — the borrow [`descend`](Self::descend) walks on.
+    st: TxState,
+}
+
+/// A transaction's access sets, read version and attempt bookkeeping.
+struct TxState {
+    rv: u64,
     read_index: VarIndex<u64>,
     reads: Vec<ReadEntry>,
     write_index: VarIndex<usize>,
@@ -259,6 +284,15 @@ pub struct Transaction {
     /// `last_conflict`: one word per transaction, maintained only on
     /// the abort path, it feeds trace-side conflict attribution.
     conflict_addr: usize,
+    /// A [`crate::Stm::read_only`] attempt: reads record nothing and
+    /// must each be visible at `rv` (module docs, read-only mode). Set
+    /// for mvcc snapshots too, whose reads differ only in falling back
+    /// to the version chain.
+    read_only: bool,
+    /// Set when the body wrote inside a read-only attempt;
+    /// [`crate::Stm::read_only`] demotes the transaction to the classic
+    /// validated protocol and reruns the body.
+    demoted: bool,
     /// True when this transaction belongs to an mvcc-mode
     /// [`crate::Stm`]: its writing commit appends displaced values to
     /// the per-TVar version chains instead of retiring them
@@ -270,36 +304,41 @@ pub struct Transaction {
     /// Dropping it (commit, abort, or panic unwind) frees the slot.
     #[cfg(feature = "mvcc")]
     snap: Option<crate::snap::SlotClaim>,
-    /// Set when user code called `write` inside a snapshot transaction;
-    /// [`crate::Stm::read_only`] demotes the transaction to the classic
-    /// validated protocol and reruns the body.
-    #[cfg(feature = "mvcc")]
-    snap_demoted: bool,
 }
 
 impl Transaction {
     /// Begins a fresh transaction at the current clock.
     pub(crate) fn begin() -> Self {
         Transaction {
-            rv: clock::now(),
             guard: epoch::pin(),
-            read_index: VarIndex::new(),
-            reads: Vec::new(),
-            write_index: VarIndex::new(),
-            writes: Vec::new(),
-            spare_writes: Vec::new(),
-            spare_reads: Vec::new(),
-            n_reads: 0,
-            n_writes: 0,
-            last_conflict: AbortReason::Explicit,
-            conflict_addr: 0,
-            #[cfg(feature = "mvcc")]
-            mvcc: false,
-            #[cfg(feature = "mvcc")]
-            snap: None,
-            #[cfg(feature = "mvcc")]
-            snap_demoted: false,
+            st: TxState {
+                rv: clock::now(),
+                read_index: VarIndex::new(),
+                reads: Vec::new(),
+                write_index: VarIndex::new(),
+                writes: Vec::new(),
+                spare_writes: Vec::new(),
+                spare_reads: Vec::new(),
+                n_reads: 0,
+                n_writes: 0,
+                last_conflict: AbortReason::Explicit,
+                conflict_addr: 0,
+                read_only: false,
+                demoted: false,
+                #[cfg(feature = "mvcc")]
+                mvcc: false,
+                #[cfg(feature = "mvcc")]
+                snap: None,
+            },
         }
+    }
+
+    /// Begins a single-version read-only transaction: TL2's read-only
+    /// protocol, with no read set and no commit-time validation.
+    pub(crate) fn begin_read_only() -> Self {
+        let mut tx = Self::begin();
+        tx.st.read_only = true;
+        tx
     }
 
     /// Begins a snapshot (multi-version read-only) transaction: claims
@@ -311,10 +350,10 @@ impl Transaction {
     pub(crate) fn begin_snapshot() -> Option<Self> {
         let claim = crate::snap::register()?;
         trc::snap_pin(claim.rv(), claim.idx());
-        let mut tx = Self::begin();
-        tx.rv = claim.rv();
-        tx.mvcc = true;
-        tx.snap = Some(claim);
+        let mut tx = Self::begin_read_only();
+        tx.st.rv = claim.rv();
+        tx.st.mvcc = true;
+        tx.st.snap = Some(claim);
         Some(tx)
     }
 
@@ -323,47 +362,338 @@ impl Transaction {
     /// `begin` by the retry loop; never flips mid-attempt.
     #[cfg(feature = "mvcc")]
     pub(crate) fn set_mvcc(&mut self, on: bool) {
-        self.mvcc = on;
+        self.st.mvcc = on;
     }
 
-    /// True when a snapshot transaction attempted a write and must be
-    /// rerun under the classic protocol.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn snapshot_demoted(&self) -> bool {
-        self.snap_demoted
+    /// True when a read-only attempt wrote and must be rerun under the
+    /// classic protocol.
+    pub(crate) fn demoted(&self) -> bool {
+        self.st.demoted
     }
 
     /// Clears all buffered state and re-samples the clock, reusing the
     /// allocations for the next attempt.
     pub(crate) fn restart(&mut self) {
+        let st = &mut self.st;
         debug_assert!(
-            self.writes.iter().all(|w| !w.vlock().sample().is_locked()) || self.writes.is_empty(),
+            st.writes.iter().all(|w| !w.vlock().sample().is_locked()) || st.writes.is_empty(),
             "restart with locks still held; abort first"
         );
-        self.read_index.clear();
-        self.write_index.clear();
+        st.read_index.clear();
+        st.write_index.clear();
         // Anything still buffered (the managed retry loop aborts first,
         // so normally nothing) is parked for reuse, not dropped.
-        self.park_access_sets();
+        st.park_access_sets();
         // The op counters must restart with the attempt: they feed
         // `StmStats::record_commit` as *this commit's* footprint, and
         // carrying counts from aborted attempts would inflate every
         // per-commit read/write statistic under contention.
-        self.n_reads = 0;
-        self.n_writes = 0;
-        self.last_conflict = AbortReason::Explicit;
-        self.conflict_addr = 0;
-        #[cfg(feature = "mvcc")]
-        {
-            self.snap_demoted = false;
-        }
+        st.n_reads = 0;
+        st.n_writes = 0;
+        st.last_conflict = AbortReason::Explicit;
+        st.conflict_addr = 0;
+        st.demoted = false;
         // Momentarily unpin so the epoch (and hence reclamation) can
         // pass this thread between attempts, then re-sample the clock
         // under the fresh pin.
         self.guard.repin();
-        self.rv = clock::now();
+        self.st.rv = clock::now();
     }
 
+    /// Why the engine last flagged a conflict in the current attempt
+    /// ([`AbortReason::Explicit`] if it never did). Read by the retry
+    /// loop when recording an abort; meaningful only right after an
+    /// operation returned [`StmError::Conflict`].
+    #[must_use]
+    pub fn conflict_reason(&self) -> AbortReason {
+        self.st.last_conflict
+    }
+
+    /// Lock address of the variable implicated in the last conflict —
+    /// the same identity as [`crate::TVar::lock_addr`] — or 0 when no
+    /// single variable was (chaos at a commit boundary, explicit body
+    /// abort). Meaningful under the same conditions as
+    /// [`conflict_reason`](Self::conflict_reason).
+    #[must_use]
+    pub fn conflict_addr(&self) -> usize {
+        self.st.conflict_addr
+    }
+
+    /// The current read version (diagnostic).
+    #[must_use]
+    pub fn read_version(&self) -> u64 {
+        self.st.rv
+    }
+
+    /// Number of distinct variables recorded in the read set so far.
+    /// Always 0 in a read-only transaction, which keeps no read set.
+    #[must_use]
+    pub fn read_set_len(&self) -> usize {
+        self.st.reads.len()
+    }
+
+    /// Number of distinct variables written so far.
+    #[must_use]
+    pub fn write_set_len(&self) -> usize {
+        self.st.writes.len()
+    }
+
+    /// Allocation diagnostics: current capacities and spare-list sizes.
+    ///
+    /// The no-allocation-on-retry guarantee is expressed through this:
+    /// after an abort + restart that replays the same accesses, the
+    /// capacities are unchanged and the spare lists have been drained
+    /// back into the live sets.
+    #[must_use]
+    pub fn footprint(&self) -> TxFootprint {
+        let st = &self.st;
+        TxFootprint {
+            reads_capacity: st.reads.capacity(),
+            writes_capacity: st.writes.capacity(),
+            read_index_capacity: st.read_index.capacity(),
+            write_index_capacity: st.write_index.capacity(),
+            spare_read_handles: st.spare_reads.len(),
+            spare_write_slots: st.spare_writes.len(),
+            read_index_spilled: st.read_index.spilled(),
+        }
+    }
+
+    pub(crate) fn op_counts(&self) -> (u64, u64) {
+        (self.st.n_reads, self.st.n_writes)
+    }
+
+    /// Runs `f` (e.g. contention-manager backoff) with the epoch
+    /// momentarily unpinned, so a sleeping transaction does not hold
+    /// reclamation back for the whole wait. Only sound between attempts:
+    /// the access sets hold `Arc`s and cloned values, never
+    /// epoch-protected pointers.
+    pub(crate) fn unpinned<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.guard.repin_after(f)
+    }
+
+    /// Transactionally reads `var`, returning a clone of the value this
+    /// transaction observes (its own pending write, if any, else the
+    /// committed snapshot consistent with the read version).
+    ///
+    /// # Errors
+    /// [`StmError::Conflict`] if the variable is locked by a concurrent
+    /// writer or the snapshot cannot be made consistent.
+    pub fn read<T: TxValue>(&mut self, var: &TVar<T>) -> TxResult<T> {
+        self.read_with(var, T::clone)
+    }
+
+    /// Transactionally reads `var` and applies `f` to the value *in
+    /// place*, without cloning it — the zero-copy sibling of
+    /// [`read`](Self::read) for large values where only a projection is
+    /// needed (a map lookup, a field, an aggregate).
+    ///
+    /// `f` may run more than once (the consistency protocol retries
+    /// racing observations), so it must be pure. It receives either the
+    /// transaction's own pending write or the committed snapshot.
+    ///
+    /// # Errors
+    /// [`StmError::Conflict`] under the same conditions as `read`.
+    pub fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &TVar<T>,
+        mut f: impl FnMut(&T) -> R,
+    ) -> TxResult<R> {
+        self.st.n_reads += 1;
+        if let Some(pending) = self.st.pending(var) {
+            return Ok(f(pending));
+        }
+        self.st.read_committed(var, &self.guard, &mut f)
+    }
+
+    /// Walks a chain of `TVar`s that link to each other through their
+    /// values — a tree's root-to-leaf path — without cloning a handle.
+    ///
+    /// Starting at `root`, each node is read like
+    /// [`read_with`](Self::read_with) and handed to `step`, which either
+    /// finishes the walk (`Ok`) or names the next node (`Err`) as a
+    /// reference *into the node's value*. That reference stays valid
+    /// for the rest of the walk because the attempt's pinned epoch guard
+    /// keeps every value it read alive, so following a link costs no
+    /// `Arc` refcount traffic on the (shared, hot) node. Each node
+    /// counts as one read and takes part in validation exactly as a
+    /// `read_with` of it would.
+    ///
+    /// `step` may run more than once per node (like `read_with`'s
+    /// closure), so it must be pure.
+    ///
+    /// # Errors
+    /// [`StmError::Conflict`] under the same conditions as `read`.
+    pub fn descend<T: TxValue, R>(
+        &mut self,
+        root: &TVar<T>,
+        mut step: impl for<'a> FnMut(&'a T) -> Result<R, &'a TVar<T>>,
+    ) -> TxResult<R> {
+        let mut cur = root;
+        loop {
+            self.st.n_reads += 1;
+            if let Some(pending) = self.st.pending(cur) {
+                // A node this attempt wrote: its value lives in the
+                // write set, which the rest of the walk may grow, so the
+                // link is cloned and the walk goes on from the clone.
+                return match step(pending) {
+                    Ok(r) => Ok(r),
+                    Err(child) => {
+                        let child = child.clone();
+                        self.descend(&child, step)
+                    }
+                };
+            }
+            match self.st.read_committed(cur, &self.guard, &mut step)? {
+                Ok(r) => return Ok(r),
+                Err(child) => cur = child,
+            }
+        }
+    }
+
+    /// Transactionally writes `value` into `var`.
+    ///
+    /// The first write eagerly acquires the variable's lock (SwissTM
+    /// W/W detection); later writes replace the private buffer.
+    ///
+    /// # Errors
+    /// [`StmError::Conflict`] if another transaction holds the lock, or
+    /// if this transaction previously read a version of `var` that has
+    /// since been overwritten.
+    pub fn write<T: TxValue>(&mut self, var: &TVar<T>, value: T) -> TxResult<()> {
+        self.st.write(var, value)
+    }
+
+    /// Reads `var`, applies `f`, and writes the result back — the
+    /// classic read-modify-write helper.
+    ///
+    /// # Errors
+    /// Propagates conflicts from the underlying read or write.
+    pub fn modify<T: TxValue>(&mut self, var: &TVar<T>, f: impl FnOnce(T) -> T) -> TxResult<()> {
+        let current = self.read(var)?;
+        self.write(var, f(current))
+    }
+
+    /// Attempts to commit. On success all writes are visible atomically;
+    /// on failure the caller must [`abort`](Self::abort).
+    pub(crate) fn commit(&mut self) -> TxResult<()> {
+        let st = &mut self.st;
+        #[cfg(feature = "mvcc")]
+        if st.snap.is_some() {
+            // Snapshot commit: zero validation, zero aborts. It fires
+            // the same pre-validate chaos *perturbation* as every other
+            // commit so seeded decision streams stay aligned across
+            // modes, but never the kill query — abort-freedom is the
+            // mode's contract.
+            chaos::hit(ChaosPoint::PreValidate);
+            st.snap = None; // drop releases the registry slot
+            return Ok(());
+        }
+        if st.writes.is_empty() {
+            // Read-only: incremental validation (reads + extensions)
+            // already guarantees a consistent snapshot at `rv`. The
+            // commit still consults the chaos hook exactly like a
+            // writing commit's validation pass does: this used to
+            // return without advancing the seeded decision stream,
+            // desynchronising replay for read-heavy and mixed runs.
+            chaos::hit(ChaosPoint::PreValidate);
+            if chaos::abort_requested(ChaosPoint::PreValidate) {
+                return Err(st.fail(AbortReason::Chaos));
+            }
+            return Ok(());
+        }
+        let wv = clock::tick();
+        // In mvcc mode the displaced versions go onto the per-TVar
+        // chains; compute the retention bound once per commit, after the
+        // tick (the writer half of the registry's Dekker handshake).
+        #[cfg(feature = "mvcc")]
+        let retain = if st.mvcc {
+            Some(crate::snap::min_active(wv))
+        } else {
+            None
+        };
+        if wv != st.rv + 1 {
+            // Someone committed since we started; make sure none of our
+            // reads were invalidated (TL2 fast path skips this when the
+            // clock tells us nobody did).
+            if let Err((reason, addr)) = st.validate() {
+                return Err(st.fail_at(reason, addr));
+            }
+        }
+        for slot in &mut st.writes {
+            chaos::hit(ChaosPoint::PrePublish);
+            #[cfg(feature = "mvcc")]
+            slot.publish(wv, &self.guard, retain);
+            #[cfg(not(feature = "mvcc"))]
+            slot.publish(wv, &self.guard);
+        }
+        // Slots are spent; park them (prevents a double publish if the
+        // transaction object is reused, keeps the allocations around).
+        st.write_index.clear();
+        for slot in st.writes.drain(..).rev() {
+            st.spare_writes.push(slot);
+        }
+        st.spare_writes.truncate(SPARE_CAP);
+        Ok(())
+    }
+
+    /// Begins an *unmanaged* transaction: no retry loop, no stats, no
+    /// contention management — the caller drives `commit`/`abort` by
+    /// hand. This exists so harness tests can pin a transaction at an
+    /// arbitrary protocol state (e.g. holding a write lock) while other
+    /// threads run; real code should use [`crate::Stm::atomically`].
+    ///
+    /// Only available with the test-only `chaos` feature.
+    #[cfg(feature = "chaos")]
+    #[must_use]
+    pub fn begin_unmanaged() -> Self {
+        Self::begin()
+    }
+
+    /// Commits an unmanaged transaction (chaos feature only); see
+    /// [`begin_unmanaged`](Self::begin_unmanaged).
+    ///
+    /// # Errors
+    /// [`StmError::Conflict`] if validation fails; the caller must then
+    /// [`abort_unmanaged`](Self::abort_unmanaged).
+    #[cfg(feature = "chaos")]
+    pub fn commit_unmanaged(&mut self) -> TxResult<()> {
+        self.commit()
+    }
+
+    /// Aborts an unmanaged transaction, releasing every held lock
+    /// (chaos feature only); see
+    /// [`begin_unmanaged`](Self::begin_unmanaged).
+    #[cfg(feature = "chaos")]
+    pub fn abort_unmanaged(&mut self) {
+        self.abort()
+    }
+
+    /// Restarts an unmanaged transaction for another attempt (chaos
+    /// feature only); see [`begin_unmanaged`](Self::begin_unmanaged).
+    #[cfg(feature = "chaos")]
+    pub fn restart_unmanaged(&mut self) {
+        self.restart()
+    }
+
+    /// Releases every held lock and parks buffered state for reuse.
+    pub(crate) fn abort(&mut self) {
+        let st = &mut self.st;
+        #[cfg(feature = "mvcc")]
+        {
+            // Free the registry slot promptly so the snapshot stops
+            // holding version chains back (drop is a no-op when None).
+            st.snap = None;
+        }
+        for slot in &st.writes {
+            slot.release_abort();
+        }
+        st.write_index.clear();
+        st.read_index.clear();
+        st.park_access_sets();
+    }
+}
+
+impl TxState {
     /// Moves the read-set entries and (already released) write slots to
     /// the spare lists, dropping buffered values but keeping every
     /// allocation and `Arc` for the next attempt. Drained in reverse so
@@ -403,75 +733,6 @@ impl Transaction {
         StmError::Conflict
     }
 
-    /// Why the engine last flagged a conflict in the current attempt
-    /// ([`AbortReason::Explicit`] if it never did). Read by the retry
-    /// loop when recording an abort; meaningful only right after an
-    /// operation returned [`StmError::Conflict`].
-    #[must_use]
-    pub fn conflict_reason(&self) -> AbortReason {
-        self.last_conflict
-    }
-
-    /// Lock address of the variable implicated in the last conflict —
-    /// the same identity as [`crate::TVar::lock_addr`] — or 0 when no
-    /// single variable was (chaos at a commit boundary, explicit body
-    /// abort). Meaningful under the same conditions as
-    /// [`conflict_reason`](Self::conflict_reason).
-    #[must_use]
-    pub fn conflict_addr(&self) -> usize {
-        self.conflict_addr
-    }
-
-    /// The current read version (diagnostic).
-    #[must_use]
-    pub fn read_version(&self) -> u64 {
-        self.rv
-    }
-
-    /// Number of distinct variables read so far.
-    #[must_use]
-    pub fn read_set_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Number of distinct variables written so far.
-    #[must_use]
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Allocation diagnostics: current capacities and spare-list sizes.
-    ///
-    /// The no-allocation-on-retry guarantee is expressed through this:
-    /// after an abort + restart that replays the same accesses, the
-    /// capacities are unchanged and the spare lists have been drained
-    /// back into the live sets.
-    #[must_use]
-    pub fn footprint(&self) -> TxFootprint {
-        TxFootprint {
-            reads_capacity: self.reads.capacity(),
-            writes_capacity: self.writes.capacity(),
-            read_index_capacity: self.read_index.capacity(),
-            write_index_capacity: self.write_index.capacity(),
-            spare_read_handles: self.spare_reads.len(),
-            spare_write_slots: self.spare_writes.len(),
-            read_index_spilled: self.read_index.spilled(),
-        }
-    }
-
-    pub(crate) fn op_counts(&self) -> (u64, u64) {
-        (self.n_reads, self.n_writes)
-    }
-
-    /// Runs `f` (e.g. contention-manager backoff) with the epoch
-    /// momentarily unpinned, so a sleeping transaction does not hold
-    /// reclamation back for the whole wait. Only sound between attempts:
-    /// the access sets hold `Arc`s and cloned values, never
-    /// epoch-protected pointers.
-    pub(crate) fn unpinned<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.guard.repin_after(f)
-    }
-
     /// Records a first read of `core`, preferring a recycled entry from
     /// an earlier attempt (same address ⇒ same handle; no refcount RMW).
     #[inline]
@@ -500,137 +761,78 @@ impl Transaction {
         }
     }
 
-    /// Transactionally reads `var`, returning a clone of the value this
-    /// transaction observes (its own pending write, if any, else the
-    /// committed snapshot consistent with the read version).
+    /// This attempt's own pending write of `var`, if it wrote it
+    /// (read-your-writes).
+    #[inline]
+    fn pending<T: TxValue>(&self, var: &TVar<T>) -> Option<&T> {
+        let slot_idx = self.write_index.get(var.core().vlock().addr())?;
+        let slot = self.writes[slot_idx]
+            .as_any()
+            .downcast_ref::<TypedSlot<T>>()
+            .expect("write-slot type confusion");
+        Some(
+            slot.pending
+                .as_ref()
+                .expect("pending value missing before commit"),
+        )
+    }
+
+    /// Reads the committed value of `var` under this attempt's
+    /// protocol, applying `f` to it in place. Every read funnels through
+    /// here after the read-your-writes check, and every protocol uses
+    /// the same [`TVarCore::read_at`]; they differ only in what a value
+    /// newer than `rv` means:
     ///
-    /// # Errors
-    /// [`StmError::Conflict`] if the variable is locked by a concurrent
-    /// writer or the snapshot cannot be made consistent.
-    pub fn read<T: TxValue>(&mut self, var: &TVar<T>) -> TxResult<T> {
-        self.n_reads += 1;
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            return self.snapshot_read_with(var, &mut Clone::clone);
-        }
+    /// * classic: extend `rv` by validating the read set, then record
+    ///   the read;
+    /// * read-only: record nothing; only the first read may extend
+    ///   (there is nothing earlier to validate), a later one aborts with
+    ///   [`AbortReason::ReadValidation`];
+    /// * mvcc snapshot: resolve through the version chain.
+    fn read_committed<'g, T: TxValue, R>(
+        &mut self,
+        var: &'g TVar<T>,
+        guard: &'g Guard,
+        f: &mut impl FnMut(&'g T) -> R,
+    ) -> TxResult<R> {
         let core = var.core();
         let addr = core.vlock().addr();
-
-        // Read-your-writes.
-        if let Some(slot_idx) = self.write_index.get(addr) {
-            let slot = self.writes[slot_idx]
-                .as_any()
-                .downcast_ref::<TypedSlot<T>>()
-                .expect("write-slot type confusion");
-            return Ok(slot
-                .pending
-                .clone()
-                .expect("pending value missing before commit"));
+        chaos::hit(ChaosPoint::LockSample);
+        #[cfg(feature = "mvcc")]
+        if self.snap.is_some() {
+            // Same chaos *perturbation* point as the other reads (keeps
+            // seeded decision streams aligned across modes), but never
+            // the kill query: snapshot reads cannot abort.
+            return self.snapshot_read(core, addr, guard, f);
         }
-
+        if chaos::abort_requested(ChaosPoint::LockSample) {
+            return Err(self.fail_at(AbortReason::Chaos, addr));
+        }
         loop {
-            chaos::hit(ChaosPoint::LockSample);
-            if chaos::abort_requested(ChaosPoint::LockSample) {
-                return Err(self.fail_at(AbortReason::Chaos, addr));
-            }
-            let w1 = core.vlock().sample();
-            if w1.is_locked() {
+            match core.read_at(self.rv, guard, f) {
+                Ok((value, w)) => {
+                    if !self.read_only {
+                        // Record (first read only; repeated reads must
+                        // agree).
+                        match self.read_index.get(addr) {
+                            Some(recorded) if recorded != w.version() => {
+                                return Err(self.fail_at(AbortReason::ReadValidation, addr));
+                            }
+                            Some(_) => {}
+                            None => self.record_read(core, addr, w.version()),
+                        }
+                    }
+                    return Ok(value);
+                }
                 // Invisible reads cannot tell who owns the lock; treat it
                 // as a conflict and let the contention manager space out
                 // the retry (SwissTM would consult the CM here too).
-                return Err(self.fail_at(AbortReason::LockBusy, addr));
+                Err(w) if w.is_locked() => return Err(self.fail_at(AbortReason::LockBusy, addr)),
+                // Newer than `rv`: extend and re-read. A read-only
+                // attempt's first read extends over an empty read set.
+                Err(_) if !self.read_only || self.n_reads == 1 => self.extend()?,
+                Err(_) => return Err(self.fail_at(AbortReason::ReadValidation, addr)),
             }
-            let value = core.load_clone(&self.guard);
-            if core.vlock().sample() != w1 {
-                // A commit raced between our two samples; re-read.
-                continue;
-            }
-            if w1.version() > self.rv {
-                // The snapshot is newer than our read version: extend.
-                self.extend()?;
-                // The extension moved rv past `w1.version()` (the clock
-                // is >= any published stamp), but the variable may have
-                // changed again while we validated; re-check.
-                if core.vlock().sample() != w1 {
-                    continue;
-                }
-            }
-            // Record (first read only; repeated reads must agree).
-            match self.read_index.get(addr) {
-                Some(recorded) => {
-                    if recorded != w1.version() {
-                        return Err(self.fail_at(AbortReason::ReadValidation, addr));
-                    }
-                }
-                None => self.record_read(core, addr, w1.version()),
-            }
-            return Ok(value);
-        }
-    }
-
-    /// Transactionally reads `var` and applies `f` to the value *in
-    /// place*, without cloning it — the zero-copy sibling of
-    /// [`read`](Self::read) for large values where only a projection is
-    /// needed (a map lookup, a field, an aggregate).
-    ///
-    /// `f` may run more than once (the consistency protocol retries
-    /// racing observations), so it must be pure. It receives either the
-    /// transaction's own pending write or the committed snapshot.
-    ///
-    /// # Errors
-    /// [`StmError::Conflict`] under the same conditions as `read`.
-    pub fn read_with<T: TxValue, R>(
-        &mut self,
-        var: &TVar<T>,
-        mut f: impl FnMut(&T) -> R,
-    ) -> TxResult<R> {
-        self.n_reads += 1;
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            return self.snapshot_read_with(var, &mut f);
-        }
-        let core = var.core();
-        let addr = core.vlock().addr();
-
-        if let Some(slot_idx) = self.write_index.get(addr) {
-            let slot = self.writes[slot_idx]
-                .as_any()
-                .downcast_ref::<TypedSlot<T>>()
-                .expect("write-slot type confusion");
-            return Ok(f(slot
-                .pending
-                .as_ref()
-                .expect("pending value missing before commit")));
-        }
-
-        loop {
-            chaos::hit(ChaosPoint::LockSample);
-            if chaos::abort_requested(ChaosPoint::LockSample) {
-                return Err(self.fail_at(AbortReason::Chaos, addr));
-            }
-            let w1 = core.vlock().sample();
-            if w1.is_locked() {
-                return Err(self.fail_at(AbortReason::LockBusy, addr));
-            }
-            let result = core.with_value(&self.guard, &mut f);
-            if core.vlock().sample() != w1 {
-                continue;
-            }
-            if w1.version() > self.rv {
-                self.extend()?;
-                if core.vlock().sample() != w1 {
-                    continue;
-                }
-            }
-            match self.read_index.get(addr) {
-                Some(recorded) => {
-                    if recorded != w1.version() {
-                        return Err(self.fail_at(AbortReason::ReadValidation, addr));
-                    }
-                }
-                None => self.record_read(core, addr, w1.version()),
-            }
-            return Ok(result);
         }
     }
 
@@ -651,21 +853,18 @@ impl Transaction {
     /// earlier reads fails, with [`AbortReason::SnapshotStale`]; the
     /// retry loop re-pins a fresh transaction.
     #[cfg(feature = "mvcc")]
-    fn snapshot_read_with<T: TxValue, R>(
+    fn snapshot_read<'g, T: TxValue, R>(
         &mut self,
-        var: &TVar<T>,
-        f: &mut impl FnMut(&T) -> R,
+        core: &'g TVarCore<T>,
+        addr: usize,
+        guard: &'g Guard,
+        f: &mut impl FnMut(&'g T) -> R,
     ) -> TxResult<R> {
-        // Same chaos *perturbation* point as a classic read's lock
-        // sample (keeps seeded decision streams aligned across modes),
-        // but never the kill query: snapshot reads cannot abort.
-        chaos::hit(ChaosPoint::LockSample);
-        let addr = var.core().vlock().addr();
-        // `n_reads` was already bumped for this read by the dispatcher.
+        // `n_reads` was already bumped for this read by the caller.
         let extendable = self.n_reads == 1;
         let mut extends_left: u8 = 3;
         loop {
-            match var.core().read_at_with(self.rv, &self.guard, f) {
+            match core.read_at_with(self.rv, guard, f) {
                 Ok((value, via_chain)) => {
                     if let Some(stamp) = via_chain {
                         trc::snapshot_read(self.rv, stamp);
@@ -715,28 +914,19 @@ impl Transaction {
         Some(self.spare_writes.swap_remove(pos))
     }
 
-    /// Transactionally writes `value` into `var`.
-    ///
-    /// The first write eagerly acquires the variable's lock (SwissTM
-    /// W/W detection); later writes replace the private buffer.
-    ///
-    /// # Errors
-    /// [`StmError::Conflict`] if another transaction holds the lock, or
-    /// if this transaction previously read a version of `var` that has
-    /// since been overwritten.
-    pub fn write<T: TxValue>(&mut self, var: &TVar<T>, value: T) -> TxResult<()> {
+    /// [`Transaction::write`].
+    fn write<T: TxValue>(&mut self, var: &TVar<T>, value: T) -> TxResult<()> {
         self.n_writes += 1;
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            // Snapshot transactions are read-only by contract; a write
-            // demotes the whole transaction and `read_only` reruns the
-            // body under the classic validated protocol.
-            self.snap_demoted = true;
-            trc::snap_demote(1, self.rv, var.core().vlock().addr());
-            return Err(self.fail(AbortReason::Explicit));
-        }
         let core = var.core();
         let addr = core.vlock().addr();
+        if self.read_only {
+            // Read-only transactions write nothing by contract; a write
+            // demotes the whole transaction and `read_only` reruns the
+            // body under the classic validated protocol.
+            self.demoted = true;
+            trc::snap_demote(1, self.rv, addr);
+            return Err(self.fail(AbortReason::Explicit));
+        }
 
         if let Some(slot_idx) = self.write_index.get(addr) {
             let slot = self.writes[slot_idx]
@@ -797,16 +987,6 @@ impl Transaction {
         Ok(())
     }
 
-    /// Reads `var`, applies `f`, and writes the result back — the
-    /// classic read-modify-write helper.
-    ///
-    /// # Errors
-    /// Propagates conflicts from the underlying read or write.
-    pub fn modify<T: TxValue>(&mut self, var: &TVar<T>, f: impl FnOnce(T) -> T) -> TxResult<()> {
-        let current = self.read(var)?;
-        self.write(var, f(current))
-    }
-
     /// Validates the read set: every recorded variable must be unlocked
     /// (or locked by this transaction) and still carry its recorded
     /// version. Returns the conflict classification *and the culprit
@@ -846,131 +1026,14 @@ impl Transaction {
             Err((reason, addr)) => Err(self.fail_at(reason, addr)),
         }
     }
-
-    /// Attempts to commit. On success all writes are visible atomically;
-    /// on failure the caller must [`abort`](Self::abort).
-    pub(crate) fn commit(&mut self) -> TxResult<()> {
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            // Snapshot commit: zero validation, zero aborts. It fires
-            // the same pre-validate chaos *perturbation* as every other
-            // commit so seeded decision streams stay aligned across
-            // modes, but never the kill query — abort-freedom is the
-            // mode's contract.
-            chaos::hit(ChaosPoint::PreValidate);
-            self.snap = None; // drop releases the registry slot
-            return Ok(());
-        }
-        if self.writes.is_empty() {
-            // Read-only: incremental validation (reads + extensions)
-            // already guarantees a consistent snapshot at `rv`. The
-            // commit still consults the chaos hook exactly like a
-            // writing commit's validation pass does: this used to
-            // return without advancing the seeded decision stream,
-            // desynchronising replay for read-heavy and mixed runs.
-            chaos::hit(ChaosPoint::PreValidate);
-            if chaos::abort_requested(ChaosPoint::PreValidate) {
-                return Err(self.fail(AbortReason::Chaos));
-            }
-            return Ok(());
-        }
-        let wv = clock::tick();
-        // In mvcc mode the displaced versions go onto the per-TVar
-        // chains; compute the retention bound once per commit, after the
-        // tick (the writer half of the registry's Dekker handshake).
-        #[cfg(feature = "mvcc")]
-        let retain = if self.mvcc {
-            Some(crate::snap::min_active(wv))
-        } else {
-            None
-        };
-        if wv != self.rv + 1 {
-            // Someone committed since we started; make sure none of our
-            // reads were invalidated (TL2 fast path skips this when the
-            // clock tells us nobody did).
-            if let Err((reason, addr)) = self.validate() {
-                return Err(self.fail_at(reason, addr));
-            }
-        }
-        for slot in &mut self.writes {
-            chaos::hit(ChaosPoint::PrePublish);
-            #[cfg(feature = "mvcc")]
-            slot.publish(wv, &self.guard, retain);
-            #[cfg(not(feature = "mvcc"))]
-            slot.publish(wv, &self.guard);
-        }
-        // Slots are spent; park them (prevents a double publish if the
-        // transaction object is reused, keeps the allocations around).
-        self.write_index.clear();
-        for slot in self.writes.drain(..).rev() {
-            self.spare_writes.push(slot);
-        }
-        self.spare_writes.truncate(SPARE_CAP);
-        Ok(())
-    }
-
-    /// Begins an *unmanaged* transaction: no retry loop, no stats, no
-    /// contention management — the caller drives `commit`/`abort` by
-    /// hand. This exists so harness tests can pin a transaction at an
-    /// arbitrary protocol state (e.g. holding a write lock) while other
-    /// threads run; real code should use [`crate::Stm::atomically`].
-    ///
-    /// Only available with the test-only `chaos` feature.
-    #[cfg(feature = "chaos")]
-    #[must_use]
-    pub fn begin_unmanaged() -> Self {
-        Self::begin()
-    }
-
-    /// Commits an unmanaged transaction (chaos feature only); see
-    /// [`begin_unmanaged`](Self::begin_unmanaged).
-    ///
-    /// # Errors
-    /// [`StmError::Conflict`] if validation fails; the caller must then
-    /// [`abort_unmanaged`](Self::abort_unmanaged).
-    #[cfg(feature = "chaos")]
-    pub fn commit_unmanaged(&mut self) -> TxResult<()> {
-        self.commit()
-    }
-
-    /// Aborts an unmanaged transaction, releasing every held lock
-    /// (chaos feature only); see
-    /// [`begin_unmanaged`](Self::begin_unmanaged).
-    #[cfg(feature = "chaos")]
-    pub fn abort_unmanaged(&mut self) {
-        self.abort()
-    }
-
-    /// Restarts an unmanaged transaction for another attempt (chaos
-    /// feature only); see [`begin_unmanaged`](Self::begin_unmanaged).
-    #[cfg(feature = "chaos")]
-    pub fn restart_unmanaged(&mut self) {
-        self.restart()
-    }
-
-    /// Releases every held lock and parks buffered state for reuse.
-    pub(crate) fn abort(&mut self) {
-        #[cfg(feature = "mvcc")]
-        {
-            // Free the registry slot promptly so the snapshot stops
-            // holding version chains back (drop is a no-op when None).
-            self.snap = None;
-        }
-        for slot in &self.writes {
-            slot.release_abort();
-        }
-        self.write_index.clear();
-        self.read_index.clear();
-        self.park_access_sets();
-    }
 }
 
 impl std::fmt::Debug for Transaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Transaction")
-            .field("rv", &self.rv)
-            .field("reads", &self.reads.len())
-            .field("writes", &self.writes.len())
+            .field("rv", &self.st.rv)
+            .field("reads", &self.st.reads.len())
+            .field("writes", &self.st.writes.len())
             .finish()
     }
 }

@@ -31,7 +31,7 @@
 /// | `VersionPrune` | 0 | lock address | versions dropped | min active snapshot timestamp |
 /// | `SnapPin` | 0 | pinned snapshot timestamp (rv) | registry slot index | 0 |
 /// | `SnapExtend` | 0 | old snapshot timestamp | new snapshot timestamp | lock address that overflowed |
-/// | `SnapDemote` | 0 read-only / 1 write | snapshot timestamp at demotion | 0 | lock address (write demote) |
+/// | `SnapDemote` | 0 read-only / 1 write | read (snapshot) timestamp at demotion | 0 | lock address (write demote) |
 /// | `Anomaly` | anomaly kind | observed value | configured threshold | round (0 if n/a) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -75,8 +75,9 @@ pub enum EventKind {
     /// A pinned snapshot's timestamp was refreshed in place after a
     /// bounded version chain overflowed beneath it (mvcc mode).
     SnapExtend = 17,
-    /// The snapshot path gave up and fell back to the classic validated
-    /// protocol (registry full, or a write inside snapshot mode).
+    /// A read-only transaction (mvcc snapshot or single-version) gave up
+    /// and fell back to the classic validated protocol (repeated aborts,
+    /// registry full, or a write inside the read-only body).
     SnapDemote = 18,
     /// An anomaly watchdog fired (abort storm, level oscillation,
     /// latency breach); usually accompanied by a post-mortem dump.

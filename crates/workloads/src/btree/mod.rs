@@ -18,11 +18,13 @@
 //! `rubic-check`'s `btree` split/merge model.
 //!
 //! Why this is safe against "lost" structural updates: every descent
-//! records each path node in the transaction's read set, and every
-//! structural change rewrites the parent of the node it moves. Two
-//! transactions that disagree about the tree shape therefore overlap on
-//! at least one `TVar` (the deepest common path node that changed), and
-//! validation aborts one of them.
+//! reads each path node through the transaction's read protocol, and
+//! every structural change rewrites the parent of the node it moves.
+//! Two transactions that disagree about the tree shape therefore
+//! overlap on at least one `TVar` (the deepest common path node that
+//! changed), and validation aborts one of them — or, for a read-only
+//! lookup that keeps no read set, the changed node is newer than its
+//! read version and the read itself aborts.
 
 pub mod node;
 
@@ -108,7 +110,7 @@ impl<K: TKey, V: TxValue> TBTreeMap<K, V> {
     /// leaf's handle and entries. Every node on the path lands in the
     /// read set — that is the conflict footprint.
     #[allow(clippy::type_complexity)]
-    fn descend(
+    fn path_to_leaf(
         &self,
         tx: &mut Transaction,
         key: &K,
@@ -478,34 +480,28 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
     }
 
     fn get(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
-        let mut cur = self.root.clone();
-        loop {
-            // Lookups don't need the path: each level either returns
-            // the value or the next child handle.
-            let step = tx.read_with(&cur, |n| match n {
-                Node::Branch { seps, kids } => {
-                    let i = Node::<K, V>::child_index(seps, key);
-                    Err(kids[i].clone())
-                }
-                Node::Leaf(entries) => Ok(entries
-                    .binary_search_by(|(k, _)| k.cmp(key))
-                    .ok()
-                    .map(|i| entries[i].1.clone())),
-            })?;
-            match step {
-                Ok(found) => return Ok(found),
-                Err(child) => cur = child,
-            }
-        }
+        // Lookups don't need the path: each level either finishes with
+        // the value or names the next child, borrowed from the node
+        // rather than cloned (no refcount traffic on the hot top nodes).
+        tx.descend(&self.root, |n| match n {
+            Node::Branch { seps, kids } => Err(&kids[Node::<K, V>::child_index(seps, key)]),
+            Node::Leaf(entries) => Ok(entries
+                .binary_search_by(|(k, _)| k.cmp(key))
+                .ok()
+                .map(|i| entries[i].1.clone())),
+        })
     }
 
     fn contains(&self, tx: &mut Transaction, key: &K) -> TxResult<bool> {
-        Ok(self.get(tx, key)?.is_some())
+        tx.descend(&self.root, |n| match n {
+            Node::Branch { seps, kids } => Err(&kids[Node::<K, V>::child_index(seps, key)]),
+            Node::Leaf(entries) => Ok(entries.binary_search_by(|(k, _)| k.cmp(key)).is_ok()),
+        })
     }
 
     fn insert(&self, tx: &mut Transaction, key: K, value: V) -> TxResult<Option<V>> {
         let mut path = Vec::new();
-        let (leaf, mut entries) = self.descend(tx, &key, &mut path)?;
+        let (leaf, mut entries) = self.path_to_leaf(tx, &key, &mut path)?;
         match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
             Ok(i) => {
                 // Replacement never changes occupancy: one leaf write.
@@ -527,7 +523,7 @@ impl<K: TKey, V: TxValue> TOrdMap<K, V> for TBTreeMap<K, V> {
 
     fn remove(&self, tx: &mut Transaction, key: &K) -> TxResult<Option<V>> {
         let mut path = Vec::new();
-        let (leaf, mut entries) = self.descend(tx, key, &mut path)?;
+        let (leaf, mut entries) = self.path_to_leaf(tx, key, &mut path)?;
         let Ok(i) = entries.binary_search_by(|(k, _)| k.cmp(key)) else {
             // Absent key: zero writes, so no-op removals on disjoint
             // keys never conflict with each other.

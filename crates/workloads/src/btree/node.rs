@@ -19,12 +19,14 @@ use crate::tmap::TKey;
 ///
 /// Tuned with stmbench (DESIGN.md §16): 32 keeps the bench's
 /// 4096-element tree at depth 3 (root → branch → leaf, ~170 leaves at
-/// the ~3/4-full steady state), so a lookup is 3 validated reads and an
-/// update's access set (3 reads + 1 leaf write) stays on the access-set
-/// index's inline path. At 16 the same tree is depth 4 — one more
-/// protocol read on every descent cost ~25 % of read-only throughput —
-/// while the wider leaf's copy-on-write clone (32 entries, one memcpy)
-/// costs nothing measurable on the write-heavy mix.
+/// the ~3/4-full steady state), so a lookup is 3 reads and an update's
+/// access set (3 reads + 1 leaf write) stays on the access-set index's
+/// inline path. At 16 the same tree is depth 4 — one more protocol read
+/// on every descent cost ~25 % of read-only throughput — while the
+/// wider leaf's copy-on-write clone (32 entries, one memcpy) costs
+/// nothing measurable on the write-heavy mix. The paper's RBT size
+/// (64 K entries) is depth 5: a lookup reads 5 nodes, and an update's
+/// 5-entry read set spills the index (`SPILL_THRESHOLD` is 4).
 pub const MAX_LEAF: usize = 32;
 /// Minimum entries per non-root leaf.
 pub const MIN_LEAF: usize = MAX_LEAF / 2;

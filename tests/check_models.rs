@@ -46,6 +46,42 @@ fn pinned_vlock_mutation_replay() {
     assert_eq!(rf.trace, failure.trace, "trace replay must be exact");
 }
 
+/// TL2's read-only reader (no read set, `version <= rv` per read,
+/// first read alone may extend) keeps every snapshot consistent.
+#[test]
+fn read_only_vlock_reader_passes() {
+    let model = vlock::VLockModel {
+        reader: vlock::Reader::ReadOnly,
+        ..vlock::VLockModel::default()
+    };
+    check(
+        Config::pct(0x5EAD, rubic_check::env_iters(256)),
+        vlock::model(model),
+    )
+    .assert_ok();
+}
+
+/// Dropping the read-only reader's `version <= rv` check is caught at
+/// this pinned coordinate — the reader pairs `x` from before a commit
+/// with `y` from after it and the `x == y` oracle panics — and the
+/// failure replays exactly from its trace.
+#[test]
+fn pinned_read_only_rv_check_mutation_replay() {
+    let mutated = vlock::VLockModel {
+        reader: vlock::Reader::ReadOnly,
+        skip_rv_check: true,
+        ..vlock::VLockModel::default()
+    };
+    let report = check(Config::pct_at_len(0x5EAD, 17, 66), vlock::model(mutated));
+    let failure = report.expect_failure().clone();
+    assert_eq!(failure.kind, FailureKind::Panic);
+
+    let replayed = check(Config::replay_trace(&failure.trace), vlock::model(mutated));
+    let rf = replayed.expect_failure();
+    assert_eq!(rf.kind, failure.kind);
+    assert_eq!(rf.trace, failure.trace, "trace replay must be exact");
+}
+
 /// The early-free epoch mutation is caught at this pinned coordinate
 /// and replays. `iteration > 0` makes this the regression for replaying
 /// a mid-run iteration: the schedule-length estimate (`est_len = 54`,

@@ -82,24 +82,58 @@ fn chaos_different_seeds_diverge() {
 /// Runs a fixed single-threaded *read-only* workload under a seeded
 /// chaos hook and returns the full decision log.
 fn readonly_chaos_decisions(seed: u64) -> Vec<Decision> {
+    readonly_decisions_under(Arc::new(SeededChaos::new(seed)), false)
+}
+
+/// Runs 16 read-only bodies under `hook`, through `Stm::read_only` when
+/// `declared` and `Stm::atomically` otherwise, and returns the log.
+fn readonly_decisions_under(hook: Arc<SeededChaos>, declared: bool) -> Vec<Decision> {
     let stm = Stm::default();
     let vars: Vec<TVar<i64>> = (0..4).map(TVar::new).collect();
-    let hook = Arc::new(SeededChaos::new(seed));
     {
         let _chaos = install(hook.clone());
         for _ in 0..16 {
-            let sum = stm.atomically(|tx| {
+            let body = |tx: &mut Transaction| {
                 let mut s = 0;
                 for v in &vars {
                     s += tx.read(v)?;
                 }
                 Ok(s)
-            });
+            };
+            let sum = if declared {
+                stm.read_only(body)
+            } else {
+                stm.atomically(body)
+            };
             assert_eq!(sum, 6);
         }
         assert_eq!(stm.stats().commits(), 16);
     }
     hook.decision_log()
+}
+
+#[test]
+fn chaos_read_only_protocol_keeps_the_decision_stream() {
+    let _serial = serial();
+    // The read-only protocol (no read set) consults the hook at exactly
+    // the points the classic protocol does, kills and retries
+    // included, so a seed replays the same decisions whether a body is
+    // declared read-only or not.
+    let seed = 0x0C0F_FEE6;
+    let classic =
+        readonly_decisions_under(Arc::new(SeededChaos::with_abort_one_in(seed, 7)), false);
+    let declared =
+        readonly_decisions_under(Arc::new(SeededChaos::with_abort_one_in(seed, 7)), true);
+    assert!(
+        classic
+            .iter()
+            .any(|d| d.action == rubic_stm::chaos::ChaosAction::Kill),
+        "the seed must kill some attempts for the retries to be compared"
+    );
+    assert_eq!(
+        classic, declared,
+        "read_only must not change the seeded stream"
+    );
 }
 
 #[test]

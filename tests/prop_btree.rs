@@ -262,3 +262,109 @@ fn mvcc_read_only_descents_are_abort_free() {
     assert!(delta.ro_commits >= 600, "read-only lookups should commit");
     assert_eq!(delta.ro_aborts, 0, "mvcc descents must be abort-free");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Read-your-writes through the borrowed descent: keys inserted
+    /// earlier in the same transaction are found by `get`/`contains`
+    /// even after later inserts split the leaves (and the root) that
+    /// first held them — the descent then walks nodes whose newest
+    /// version is this transaction's own pending write.
+    #[test]
+    fn get_reads_own_inserts_across_splits(
+        prefill in proptest::collection::btree_set(0u64..4096, 0..200),
+        batch in proptest::collection::vec(0u64..4096, 40..160),
+    ) {
+        let stm = Stm::default();
+        let map: TBTreeMap<u64, u64> = TBTreeMap::new();
+        for &k in &prefill {
+            stm.atomically(|tx| map.insert(tx, k, k));
+        }
+        let (_, depth_before) = map.check_shape().expect("prefill invariants");
+        let mut model: BTreeMap<u64, u64> = prefill.iter().map(|&k| (k, k)).collect();
+        for &k in &batch {
+            model.insert(k, k + 1);
+        }
+        let all_found = stm.atomically(|tx| {
+            let mut seen = Vec::new();
+            for &k in &batch {
+                map.insert(tx, k, k + 1)?;
+                seen.push(k);
+                // Every key inserted so far must already be visible,
+                // wherever a split since moved it.
+                for &s in &seen {
+                    if map.get(tx, &s)? != Some(s + 1) || !map.contains(tx, &s)? {
+                        return Ok(false);
+                    }
+                }
+            }
+            for (&k, &v) in &model {
+                if map.get(tx, &k)? != Some(v) {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        });
+        prop_assert!(all_found, "a key inserted in this transaction was missed");
+        let (len, depth_after) = map.check_shape().expect("btree invariants");
+        prop_assert_eq!(len, model.len());
+        prop_assert!(depth_after >= depth_before);
+    }
+}
+
+/// Read-only lookups (no read set, borrowed descent) of keys that are
+/// always present never miss while writers split and merge the nodes
+/// around them.
+#[test]
+fn read_only_lookups_never_miss_during_splits_and_merges() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const KEYS: u64 = 1024;
+    let stm = Stm::default();
+    let map: Arc<TBTreeMap<u64, u64>> = Arc::new(TBTreeMap::new());
+    // Even keys stay present throughout; odd keys churn in bursts, so
+    // runs of inserts split leaves and runs of removals merge them.
+    for k in (0..KEYS).step_by(2) {
+        stm.atomically(|tx| map.insert(tx, k, k * 10));
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (stm, map, stop) = (stm.clone(), Arc::clone(&map), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut round = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let base = ((round * 2 + t) * 97 % (KEYS / 128)) * 128;
+                    for k in (base + 1..base + 128).step_by(2) {
+                        stm.atomically(|tx| map.insert(tx, k, k));
+                    }
+                    for k in (base + 1..base + 128).step_by(2) {
+                        stm.atomically(|tx| map.remove(tx, &k));
+                    }
+                    round += 1;
+                }
+            })
+        })
+        .collect();
+    let before = stm.stats().snapshot();
+    for i in 0..20_000u64 {
+        let key = (i * 7919 % (KEYS / 2)) * 2;
+        let got = stm.read_only(|tx| map.get(tx, &key));
+        assert_eq!(got, Some(key * 10), "read-only lookup missed key {key}");
+        assert!(
+            stm.read_only(|tx| map.contains(tx, &key)),
+            "contains missed {key}"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    for w in writers {
+        w.join().expect("writer");
+    }
+    let delta = stm.stats().snapshot().delta_since(&before);
+    assert!(delta.ro_commits >= 40_000);
+    assert!(
+        delta.commits > delta.ro_commits,
+        "the writers must have run"
+    );
+    map.check_shape().expect("btree invariants after churn");
+}

@@ -281,3 +281,107 @@ proptest! {
         prop_assert_eq!(map.snapshot().len(), size_cell.snapshot());
     }
 }
+
+// ---------------------------------------------------------------------
+// Single-version read-only transactions (`Stm::read_only` without mvcc
+// mode): TL2's read-only protocol keeps no read set and requires every
+// read to be unlocked at `version <= rv`. These properties hold it to
+// the classic protocol's guarantees.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Concurrent writers move value between cells; every read-only
+    /// sum, taken with no read set, sees the invariant total.
+    #[test]
+    fn read_only_never_sees_a_torn_transfer(
+        n_vars in 2usize..6,
+        moves in proptest::collection::vec((-50i64..50, 0usize..6, 0usize..6), 40..160),
+    ) {
+        let stm = Stm::default();
+        let vars: Arc<Vec<TVar<i64>>> = Arc::new((0..n_vars).map(|_| TVar::new(100)).collect());
+        let total = 100 * n_vars as i64;
+        let writers: Vec<_> = moves
+            .chunks(40)
+            .map(|chunk| {
+                let (stm, vars) = (stm.clone(), Arc::clone(&vars));
+                let chunk = chunk.to_vec();
+                std::thread::spawn(move || {
+                    for (amount, from, to) in chunk {
+                        let (from, to) = (from % vars.len(), to % vars.len());
+                        stm.atomically(|tx| {
+                            tx.modify(&vars[from], |x| x - amount)?;
+                            tx.modify(&vars[to], |x| x + amount)
+                        });
+                    }
+                })
+            })
+            .collect();
+        let mut sums = 0u64;
+        while !writers.iter().all(std::thread::JoinHandle::is_finished) || sums < 50 {
+            let sum = stm.read_only(|tx| {
+                let mut sum = 0;
+                for v in vars.iter() {
+                    sum += tx.read(v)?;
+                }
+                // No `read_set_len() == 0` check here: after eight
+                // read-only aborts in a row the body reruns under the
+                // classic protocol, which does record reads.
+                Ok(sum)
+            });
+            prop_assert_eq!(sum, total, "read-only transaction saw a torn transfer");
+            sums += 1;
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        prop_assert_eq!(stm.stats().ro_commits(), sums);
+    }
+
+    /// Uncontended read-only bodies record no read set whatever they
+    /// read, and every read still counts toward `reads_per_commit`.
+    #[test]
+    fn read_only_reads_record_no_read_set(reads in proptest::collection::vec(0usize..8, 1..40)) {
+        let stm = Stm::default();
+        let vars: Vec<TVar<i64>> = (0..8).map(TVar::new).collect();
+        let (sum, recorded) = stm.read_only(|tx| {
+            let mut sum = 0;
+            for &i in &reads {
+                sum += tx.read(&vars[i])?;
+            }
+            Ok((sum, tx.read_set_len()))
+        });
+        prop_assert_eq!(recorded, 0);
+        prop_assert_eq!(sum, reads.iter().map(|&i| i as i64).sum::<i64>());
+        prop_assert_eq!(stm.stats().reads(), reads.len() as u64);
+        prop_assert_eq!(stm.stats().aborts(), 0);
+    }
+
+    /// A read-only body that writes demotes to the classic protocol and
+    /// commits its writes; the demotion is not a read-only abort.
+    #[test]
+    fn read_only_body_that_writes_demotes_and_commits(
+        writes in proptest::collection::vec((0usize..4, any::<i64>()), 1..10),
+    ) {
+        let stm = Stm::default();
+        let vars: Vec<TVar<i64>> = (0..4).map(|_| TVar::new(0)).collect();
+        let mut model = [0i64; 4];
+        for &(i, v) in &writes {
+            model[i] = v;
+        }
+        stm.read_only(|tx| {
+            for &(i, v) in &writes {
+                let _ = tx.read(&vars[i])?;
+                tx.write(&vars[i], v)?;
+            }
+            Ok(())
+        });
+        for (var, expected) in vars.iter().zip(&model) {
+            prop_assert_eq!(var.snapshot(), *expected);
+        }
+        prop_assert_eq!(stm.stats().ro_commits(), 1);
+        prop_assert_eq!(stm.stats().ro_aborts(), 0, "a demotion is not a read-only abort");
+        prop_assert_eq!(stm.stats().snap_demotions(), 1);
+    }
+}
