@@ -20,13 +20,12 @@ pub const COMMENT_WINDOW: u32 = 10;
 pub const FACADE_CRATES: [&str; 2] = ["crates/sync", "crates/check"];
 
 /// STM files on the per-access hot path (R4).
-pub const HOT_PATH_FILES: [&str; 6] = [
+pub const HOT_PATH_FILES: [&str; 5] = [
     "crates/stm/src/txn.rs",
     "crates/stm/src/vlock.rs",
     "crates/stm/src/clock.rs",
     "crates/stm/src/tvar.rs",
     "crates/stm/src/index.rs",
-    "crates/stm/src/snap.rs",
 ];
 
 /// True when `rel` starts with the path `prefix` (component-wise).
@@ -242,8 +241,8 @@ pub fn check_file(rel: &Path, lex: &LexOut, stats: &mut Stats, out: &mut Vec<Fin
                 out,
                 Rule::R5,
                 line,
-                "fence without a `// ordering:` justification; fences carry the version-chain \
-                 / snapshot-registry handshake arguments",
+                "fence without a `// ordering:` justification; a fence carries a handshake \
+                 argument that no single access shows",
             );
         }
     }
@@ -314,11 +313,11 @@ mod tests {
             "// ordering: total order with producer increments\nlet x = a.load(Ordering::SeqCst);\n"
         )
         .is_empty());
-        let v = run("crates/stm/src/snap.rs", "fence(Ordering::AcqRel);\n");
+        let v = run("crates/stm/src/clock.rs", "fence(Ordering::AcqRel);\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("[R5]"));
         // SeqCst fence without a comment: exactly one report (R2).
-        let v = run("crates/stm/src/snap.rs", "fence(Ordering::SeqCst);\n");
+        let v = run("crates/stm/src/clock.rs", "fence(Ordering::SeqCst);\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("[R2]"));
     }
@@ -341,7 +340,7 @@ mod tests {
     fn hot_path_instant_flagged_only_on_hot_files() {
         let src = "let t = Instant::now();\n";
         assert_eq!(run("crates/stm/src/vlock.rs", src).len(), 1);
-        assert_eq!(run("crates/stm/src/snap.rs", src).len(), 1);
+        assert_eq!(run("crates/stm/src/clock.rs", src).len(), 1);
         assert!(run("crates/stm/src/stats.rs", src).is_empty());
         assert!(run("crates/runtime/src/pool.rs", src).is_empty());
     }

@@ -16,11 +16,6 @@
 //!   vendored `crossbeam-epoch`-style reclamation, instance-based so
 //!   executions are independent, with the drain threshold configurable
 //!   to demonstrate premature-free detection.
-//! * [`mvcc`] — the multi-version snapshot protocol layered on the
-//!   vlock model (`rubic-stm --features mvcc`): version chains, the
-//!   snapshot-timestamp registry's SC-fence handshake, and prefix-drain
-//!   pruning, with the retention rule configurable so the mutation
-//!   self-test can prune early and assert the checker catches it.
 //! * [`btree`] — the per-node B-tree's split/merge discipline from
 //!   `rubic-workloads` (`btree/mod.rs`): a structural change rewrites
 //!   parent routing and both children in *one* commit, and a TL2-style
@@ -35,5 +30,4 @@
 
 pub mod btree;
 pub mod epoch;
-pub mod mvcc;
 pub mod vlock;

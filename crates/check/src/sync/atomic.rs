@@ -14,22 +14,6 @@ pub use std::sync::atomic::Ordering;
 
 use crate::engine::with_ctx;
 
-/// Atomic fence. Outside a checker run this is the real
-/// `std::sync::atomic::fence`. Inside a run it is a pure scheduling
-/// point: the checker executes every atomic access with `SeqCst` at the
-/// value level (the scheduler owns all interleaving), so an SC fence
-/// adds no extra value behaviour to model — protocols that rely on one
-/// (e.g. the STM's snapshot-registry Dekker handshake) are explored
-/// under exactly the SC semantics the fence is claiming.
-#[track_caller]
-pub fn fence(ord: Ordering) {
-    let loc = std::panic::Location::caller();
-    match with_ctx(Clone::clone) {
-        Some(ctx) => ctx.engine.op_yield(ctx.tid, loc),
-        None => std::sync::atomic::fence(ord),
-    }
-}
-
 macro_rules! checked_atomic {
     ($(#[$doc:meta])* $name:ident, $std:ident, $prim:ty, [$($int_ops:tt)*]) => {
         $(#[$doc])*

@@ -17,7 +17,6 @@
 /// assert!((s.population_stddev() - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -9,7 +9,6 @@
 
 /// One monitoring-round sample of a process.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TracePoint {
     /// Monitoring round index (one round = one `TIME_PERIOD`, 10 ms in the
     /// paper's setup).
@@ -26,7 +25,6 @@ pub struct TracePoint {
 
 /// A process's recorded control trace: level and throughput per round.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LevelTrace {
     points: Vec<TracePoint>,
 }

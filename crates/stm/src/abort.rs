@@ -33,11 +33,11 @@ pub enum AbortReason {
     /// The transaction body itself returned `Err` without the engine
     /// flagging a conflict first (an explicit user retry).
     Explicit = 4,
-    /// A multi-version snapshot read could not find a version visible at
-    /// the pinned timestamp: the bounded per-TVar chain was forced to
-    /// drop it (chain cap overflow under a long-lived snapshot). The
-    /// snapshot retry loop re-pins a fresh timestamp, so this reason is
-    /// transient by construction. Only raised with the `mvcc` feature.
+    /// A snapshot read found no version visible at its pinned
+    /// timestamp. Reserved: no protocol in this engine raises it (the
+    /// multi-version snapshot mode that did was removed), but the code
+    /// stays allocated so the trace code table and the per-reason
+    /// counters keep their stable indices.
     SnapshotStale = 5,
 }
 

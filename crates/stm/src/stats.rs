@@ -32,8 +32,7 @@ struct CommitShard {
     writes: AtomicU64,
     /// Commits by [`crate::Stm::read_only`] transactions (a subset of
     /// `commits`). Unconditional — a plain counter is cheaper than a
-    /// cfg'd hole in the snapshot type, and the mvcc abort-freedom claim
-    /// (`ro_aborts == 0` under snapshot mode) is benchmarked off it.
+    /// cfg'd hole in the snapshot type.
     ro_commits: AtomicU64,
 }
 
@@ -49,10 +48,9 @@ pub struct StmStats {
     /// Aborted attempts inside `read_only` (a subset of `aborts`).
     ro_aborts: CachePadded<AtomicU64>,
     /// Read-only transactions demoted to the classic validated
-    /// protocol: a body that wrote, repeated read-only aborts, or (mvcc
-    /// snapshots) registry exhaustion. Unconditional for the same reason
-    /// as `ro_commits`: a plain counter beats a cfg'd hole in the
-    /// snapshot type.
+    /// protocol: a body that wrote, or repeated read-only aborts.
+    /// Unconditional for the same reason as `ro_commits`: a plain
+    /// counter beats a cfg'd hole in the snapshot type.
     snap_demotions: CachePadded<AtomicU64>,
 }
 
@@ -154,15 +152,14 @@ impl StmStats {
     }
 
     /// Aborted attempts inside [`crate::Stm::read_only`] (a subset of
-    /// [`aborts`](Self::aborts)). Exactly `0` when every read-only
-    /// transaction ran in mvcc snapshot mode.
+    /// [`aborts`](Self::aborts)).
     #[must_use]
     pub fn ro_aborts(&self) -> u64 {
         self.ro_aborts.load(Ordering::Relaxed) // ordering: monitoring read of a counter
     }
 
-    /// Read-only transactions (single-version or mvcc snapshot) that
-    /// fell back to the classic validated protocol.
+    /// Read-only transactions that fell back to the classic validated
+    /// protocol.
     #[must_use]
     pub fn snap_demotions(&self) -> u64 {
         self.snap_demotions.load(Ordering::Relaxed) // ordering: monitoring read of a counter

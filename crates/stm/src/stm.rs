@@ -26,12 +26,6 @@ use crate::txn::{Transaction, TxResult};
 pub struct Stm {
     cm: Arc<dyn ContentionManager>,
     stats: Arc<StmStats>,
-    /// Multi-version mode: writing commits append the displaced value to
-    /// the variable's version chain and [`Stm::read_only`] pins a
-    /// snapshot timestamp instead of validating. Off by default — the
-    /// single-version protocol is untouched unless a builder opts in.
-    #[cfg(feature = "mvcc")]
-    mvcc: bool,
 }
 
 impl Stm {
@@ -67,8 +61,6 @@ impl Stm {
     /// fallback; `read_only` only adds the ro-commit/abort accounting.
     fn run<R>(&self, read_only: bool, f: &mut impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
         let mut tx = Transaction::begin();
-        #[cfg(feature = "mvcc")]
-        tx.set_mvcc(self.mvcc);
         let mut trace = crate::trc::TxTrace::begin();
         let mut attempt: u32 = 0;
         loop {
@@ -101,19 +93,12 @@ impl Stm {
 
     /// Runs a read-only transaction.
     ///
-    /// The body runs under a read-only protocol that keeps no read set
-    /// and never validates at commit:
-    ///
-    /// * Single-version (the default): TL2's read-only protocol. Each
-    ///   read must find its variable unlocked with `version <= rv`
-    ///   between two samples of the lock word. Only the first read may
-    ///   advance `rv`, because nothing earlier needs validating; a later
-    ///   read of a newer value aborts the attempt, which retries at a
-    ///   fresh `rv`.
-    /// * With [`StmBuilder::mvcc`] enabled, the transaction pins a
-    ///   snapshot timestamp and reads the version visible at it, falling
-    ///   back to the variable's version chain: outside the transient
-    ///   bounded-chain fallback, it never aborts.
+    /// The body runs under TL2's read-only protocol, which keeps no read
+    /// set and never validates at commit. Each read must find its
+    /// variable unlocked with `version <= rv` between two samples of the
+    /// lock word. Only the first read may advance `rv`, because nothing
+    /// earlier needs validating; a later read of a newer value aborts
+    /// the attempt, which retries at a fresh `rv`.
     ///
     /// Writes are not prevented by the type system: a body that writes
     /// demotes itself, and the transaction reruns under the classic
@@ -122,20 +107,15 @@ impl Stm {
     /// extend past a newer value by validating what it read.
     pub fn read_only<R>(&self, mut f: impl FnMut(&mut Transaction) -> TxResult<R>) -> R {
         /// Read-only attempts tolerated before the classic protocol takes
-        /// the job. A single-version attempt aborts when a writer commits
-        /// to a variable it has yet to read, and a snapshot when a
-        /// variable outruns its bounded chain; one retry almost always
-        /// suffices, and eight means a long body under pathological churn.
+        /// the job. An attempt aborts when a writer commits to a variable
+        /// it has yet to read; one retry almost always suffices, and
+        /// eight means a long body under pathological churn.
         const RO_ATTEMPTS: u32 = 8;
         let mut trace = crate::trc::TxTrace::begin();
         let mut attempt: u32 = 0;
         let mut demoted_write = false;
         while attempt < RO_ATTEMPTS {
-            let Some(mut tx) = self.begin_read_only() else {
-                // Registry full (or writers outran pinning): classic
-                // mode is a correctness-neutral fallback.
-                break;
-            };
+            let mut tx = Transaction::begin_read_only();
             match attempt_once(&mut tx, &mut f) {
                 Ok(r) => {
                     let (reads, writes) = tx.op_counts();
@@ -176,17 +156,6 @@ impl Stm {
         self.run(true, &mut f)
     }
 
-    /// Begins one read-only attempt: a snapshot in mvcc mode (`None`
-    /// when the registry is saturated), else a single-version read-only
-    /// transaction.
-    fn begin_read_only(&self) -> Option<Transaction> {
-        #[cfg(feature = "mvcc")]
-        if self.mvcc {
-            return Transaction::begin_snapshot();
-        }
-        Some(Transaction::begin_read_only())
-    }
-
     /// This runtime's statistics.
     #[must_use]
     pub fn stats(&self) -> &StmStats {
@@ -197,13 +166,6 @@ impl Stm {
     #[must_use]
     pub fn contention_manager(&self) -> &'static str {
         self.cm.name()
-    }
-
-    /// Whether this runtime runs in multi-version (snapshot) mode.
-    #[cfg(feature = "mvcc")]
-    #[must_use]
-    pub fn is_mvcc(&self) -> bool {
-        self.mvcc
     }
 }
 
@@ -236,8 +198,6 @@ impl Clone for Stm {
         Stm {
             cm: Arc::clone(&self.cm),
             stats: Arc::clone(&self.stats),
-            #[cfg(feature = "mvcc")]
-            mvcc: self.mvcc,
         }
     }
 }
@@ -254,8 +214,6 @@ impl std::fmt::Debug for Stm {
 /// Builder for [`Stm`].
 pub struct StmBuilder {
     cm: Arc<dyn ContentionManager>,
-    #[cfg(feature = "mvcc")]
-    mvcc: bool,
 }
 
 impl StmBuilder {
@@ -264,8 +222,6 @@ impl StmBuilder {
     pub fn new() -> Self {
         StmBuilder {
             cm: Arc::new(Backoff::default()),
-            #[cfg(feature = "mvcc")]
-            mvcc: false,
         }
     }
 
@@ -276,24 +232,12 @@ impl StmBuilder {
         self
     }
 
-    /// Enables multi-version mode: writing commits keep a bounded chain
-    /// of displaced versions per variable and [`Stm::read_only`] runs as
-    /// an abort-free snapshot transaction. Off by default.
-    #[cfg(feature = "mvcc")]
-    #[must_use]
-    pub fn mvcc(mut self, on: bool) -> Self {
-        self.mvcc = on;
-        self
-    }
-
     /// Finalises the runtime.
     #[must_use]
     pub fn build(self) -> Stm {
         Stm {
             cm: self.cm,
             stats: Arc::new(StmStats::new()),
-            #[cfg(feature = "mvcc")]
-            mvcc: self.mvcc,
         }
     }
 }
@@ -541,81 +485,6 @@ mod tests {
                 Ok(x + y)
             });
             assert_eq!(sum, 1000, "read-only transaction saw a torn transfer");
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        assert_eq!(stm.stats().ro_commits(), 2000);
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_read_only_commits_abort_free() {
-        let stm = Stm::builder().mvcc(true).build();
-        assert!(stm.is_mvcc());
-        let v = TVar::new(0u64);
-        for i in 0..16 {
-            stm.atomically(|tx| tx.write(&v, i));
-            let got = stm.read_only(|tx| tx.read(&v));
-            assert_eq!(got, i);
-        }
-        assert_eq!(stm.stats().ro_commits(), 16);
-        assert_eq!(stm.stats().ro_aborts(), 0);
-        assert_eq!(stm.stats().aborts(), 0);
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_read_only_that_writes_demotes_to_classic() {
-        let stm = Stm::builder().mvcc(true).build();
-        let v = TVar::new(1u64);
-        // A "read-only" body that writes anyway: the snapshot attempt
-        // demotes itself and the classic rerun commits the write.
-        let got = stm.read_only(|tx| {
-            let x = tx.read(&v)?;
-            tx.write(&v, x + 1)?;
-            Ok(x + 1)
-        });
-        assert_eq!(got, 2);
-        assert_eq!(v.snapshot(), 2);
-        // Demotion is not charged as a read-only abort.
-        assert_eq!(stm.stats().ro_aborts(), 0);
-        assert_eq!(stm.stats().ro_commits(), 1);
-    }
-
-    #[cfg(feature = "mvcc")]
-    #[test]
-    fn mvcc_snapshots_observe_invariants_under_writers() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let stm = Stm::builder().mvcc(true).build();
-        let a = Arc::new(TVar::new(500i64));
-        let b = Arc::new(TVar::new(500i64));
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let stm = stm.clone();
-            let (a, b, stop) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                let mut k = 0i64;
-                while !stop.load(Ordering::Relaxed) {
-                    let amount = k % 9 - 4;
-                    stm.atomically(|tx| {
-                        let x = tx.read(&a)?;
-                        let y = tx.read(&b)?;
-                        tx.write(&a, x - amount)?;
-                        tx.write(&b, y + amount)?;
-                        Ok(())
-                    });
-                    k += 1;
-                }
-            })
-        };
-        for _ in 0..2000 {
-            let sum = stm.read_only(|tx| {
-                let x = tx.read(&a)?;
-                let y = tx.read(&b)?;
-                Ok(x + y)
-            });
-            assert_eq!(sum, 1000, "snapshot saw a torn transfer");
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();

@@ -33,10 +33,9 @@
 //! until it releases them with it, so a commit stamped `<= rv` that the
 //! reader could half-see leaves some variable locked, and one stamped
 //! `> rv` leaves it too new. A write demotes the attempt, and the body
-//! reruns under the classic protocol. Classic, read-only and mvcc
-//! snapshot reads all go through the same read routine
-//! (`TVarCore::read_at`), and differ only in what a locked or too-new
-//! word means.
+//! reruns under the classic protocol. Classic and read-only reads go
+//! through the same read routine (`TVarCore::read_at`), and differ only
+//! in what a too-new word means.
 //!
 //! **Commit**: read-only transactions commit immediately — their read
 //! set was kept consistent incrementally. Writers draw a unique
@@ -140,11 +139,7 @@ trait WriteSlot: Send {
     /// cached for spare-list matching.
     fn addr(&self) -> usize;
     /// Publishes the buffered value and releases the lock stamped `wv`.
-    /// In mvcc mode `retain` is `Some(min_active)`: the displaced value
-    /// joins the variable's version chain and entries no registered
-    /// snapshot can need (`succ <= min_active`) are pruned; `None`
-    /// keeps the single-version behaviour (immediate epoch retirement).
-    fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>);
+    fn publish(&mut self, wv: u64, guard: &Guard);
     /// Releases the lock restoring the pre-lock version.
     fn release_abort(&self);
     /// Drops the buffered value (if any) so a slot parked on the spare
@@ -174,22 +169,11 @@ impl<T: TxValue> WriteSlot for TypedSlot<T> {
         self.core.vlock().addr()
     }
 
-    fn publish(&mut self, wv: u64, guard: &Guard, #[cfg(feature = "mvcc")] retain: Option<u64>) {
+    fn publish(&mut self, wv: u64, guard: &Guard) {
         let value = self
             .pending
             .take()
             .expect("write slot published twice or never filled");
-        #[cfg(feature = "mvcc")]
-        match retain {
-            Some(min_active) => {
-                let dropped = self.core.publish_versioned(value, wv, min_active, guard);
-                if dropped > 0 {
-                    trc::version_prune(self.core.vlock().addr(), dropped as u64, min_active);
-                }
-            }
-            None => self.core.publish(value, guard),
-        }
-        #[cfg(not(feature = "mvcc"))]
         self.core.publish(value, guard);
         self.core.vlock().release_commit(wv);
         #[cfg(feature = "trace")]
@@ -285,25 +269,12 @@ struct TxState {
     /// the abort path, it feeds trace-side conflict attribution.
     conflict_addr: usize,
     /// A [`crate::Stm::read_only`] attempt: reads record nothing and
-    /// must each be visible at `rv` (module docs, read-only mode). Set
-    /// for mvcc snapshots too, whose reads differ only in falling back
-    /// to the version chain.
+    /// must each be visible at `rv` (module docs, read-only mode).
     read_only: bool,
     /// Set when the body wrote inside a read-only attempt;
     /// [`crate::Stm::read_only`] demotes the transaction to the classic
     /// validated protocol and reruns the body.
     demoted: bool,
-    /// True when this transaction belongs to an mvcc-mode
-    /// [`crate::Stm`]: its writing commit appends displaced values to
-    /// the per-TVar version chains instead of retiring them
-    /// immediately.
-    #[cfg(feature = "mvcc")]
-    mvcc: bool,
-    /// Present for snapshot (multi-version read-only) transactions: the
-    /// claimed registry slot pinning `rv` as the snapshot timestamp.
-    /// Dropping it (commit, abort, or panic unwind) frees the slot.
-    #[cfg(feature = "mvcc")]
-    snap: Option<crate::snap::SlotClaim>,
 }
 
 impl Transaction {
@@ -325,10 +296,6 @@ impl Transaction {
                 conflict_addr: 0,
                 read_only: false,
                 demoted: false,
-                #[cfg(feature = "mvcc")]
-                mvcc: false,
-                #[cfg(feature = "mvcc")]
-                snap: None,
             },
         }
     }
@@ -339,30 +306,6 @@ impl Transaction {
         let mut tx = Self::begin();
         tx.st.read_only = true;
         tx
-    }
-
-    /// Begins a snapshot (multi-version read-only) transaction: claims
-    /// a registry slot, pins the snapshot timestamp, and never
-    /// validates or aborts at commit. `None` when the registry is
-    /// saturated or the clock outruns the bounded pin loop — the caller
-    /// falls back to the classic validated protocol.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn begin_snapshot() -> Option<Self> {
-        let claim = crate::snap::register()?;
-        trc::snap_pin(claim.rv(), claim.idx());
-        let mut tx = Self::begin_read_only();
-        tx.st.rv = claim.rv();
-        tx.st.mvcc = true;
-        tx.st.snap = Some(claim);
-        Some(tx)
-    }
-
-    /// Marks this transaction as belonging to an mvcc-mode `Stm` (its
-    /// writing commit feeds the version chains). Called right after
-    /// `begin` by the retry loop; never flips mid-attempt.
-    #[cfg(feature = "mvcc")]
-    pub(crate) fn set_mvcc(&mut self, on: bool) {
-        self.st.mvcc = on;
     }
 
     /// True when a read-only attempt wrote and must be rerun under the
@@ -577,17 +520,6 @@ impl Transaction {
     /// on failure the caller must [`abort`](Self::abort).
     pub(crate) fn commit(&mut self) -> TxResult<()> {
         let st = &mut self.st;
-        #[cfg(feature = "mvcc")]
-        if st.snap.is_some() {
-            // Snapshot commit: zero validation, zero aborts. It fires
-            // the same pre-validate chaos *perturbation* as every other
-            // commit so seeded decision streams stay aligned across
-            // modes, but never the kill query — abort-freedom is the
-            // mode's contract.
-            chaos::hit(ChaosPoint::PreValidate);
-            st.snap = None; // drop releases the registry slot
-            return Ok(());
-        }
         if st.writes.is_empty() {
             // Read-only: incremental validation (reads + extensions)
             // already guarantees a consistent snapshot at `rv`. The
@@ -602,15 +534,6 @@ impl Transaction {
             return Ok(());
         }
         let wv = clock::tick();
-        // In mvcc mode the displaced versions go onto the per-TVar
-        // chains; compute the retention bound once per commit, after the
-        // tick (the writer half of the registry's Dekker handshake).
-        #[cfg(feature = "mvcc")]
-        let retain = if st.mvcc {
-            Some(crate::snap::min_active(wv))
-        } else {
-            None
-        };
         if wv != st.rv + 1 {
             // Someone committed since we started; make sure none of our
             // reads were invalidated (TL2 fast path skips this when the
@@ -621,9 +544,6 @@ impl Transaction {
         }
         for slot in &mut st.writes {
             chaos::hit(ChaosPoint::PrePublish);
-            #[cfg(feature = "mvcc")]
-            slot.publish(wv, &self.guard, retain);
-            #[cfg(not(feature = "mvcc"))]
             slot.publish(wv, &self.guard);
         }
         // Slots are spent; park them (prevents a double publish if the
@@ -678,12 +598,6 @@ impl Transaction {
     /// Releases every held lock and parks buffered state for reuse.
     pub(crate) fn abort(&mut self) {
         let st = &mut self.st;
-        #[cfg(feature = "mvcc")]
-        {
-            // Free the registry slot promptly so the snapshot stops
-            // holding version chains back (drop is a no-op when None).
-            st.snap = None;
-        }
         for slot in &st.writes {
             slot.release_abort();
         }
@@ -779,7 +693,7 @@ impl TxState {
 
     /// Reads the committed value of `var` under this attempt's
     /// protocol, applying `f` to it in place. Every read funnels through
-    /// here after the read-your-writes check, and every protocol uses
+    /// here after the read-your-writes check, and both protocols use
     /// the same [`TVarCore::read_at`]; they differ only in what a value
     /// newer than `rv` means:
     ///
@@ -787,8 +701,7 @@ impl TxState {
     ///   the read;
     /// * read-only: record nothing; only the first read may extend
     ///   (there is nothing earlier to validate), a later one aborts with
-    ///   [`AbortReason::ReadValidation`];
-    /// * mvcc snapshot: resolve through the version chain.
+    ///   [`AbortReason::ReadValidation`].
     fn read_committed<'g, T: TxValue, R>(
         &mut self,
         var: &'g TVar<T>,
@@ -798,13 +711,6 @@ impl TxState {
         let core = var.core();
         let addr = core.vlock().addr();
         chaos::hit(ChaosPoint::LockSample);
-        #[cfg(feature = "mvcc")]
-        if self.snap.is_some() {
-            // Same chaos *perturbation* point as the other reads (keeps
-            // seeded decision streams aligned across modes), but never
-            // the kill query: snapshot reads cannot abort.
-            return self.snapshot_read(core, addr, guard, f);
-        }
         if chaos::abort_requested(ChaosPoint::LockSample) {
             return Err(self.fail_at(AbortReason::Chaos, addr));
         }
@@ -832,59 +738,6 @@ impl TxState {
                 // attempt's first read extends over an empty read set.
                 Err(_) if !self.read_only || self.n_reads == 1 => self.extend()?,
                 Err(_) => return Err(self.fail_at(AbortReason::ReadValidation, addr)),
-            }
-        }
-    }
-
-    /// The snapshot read protocol: no read-set recording, no lock-busy
-    /// conflicts — just the version visible at the pinned timestamp,
-    /// either the variable's current value (fast path) or a chain entry
-    /// (slow path).
-    ///
-    /// On a [`SnapshotMiss`](crate::tvar::SnapshotMiss) (a bounded
-    /// chain was forced to drop the needed version), a transaction with
-    /// no *prior* reads has observed nothing that a newer snapshot
-    /// could contradict, so it **extends**: re-pins its registry slot
-    /// at the current clock and retries in place (the snapshot-mode
-    /// analogue of TinySTM's timestamp extension, where extension is
-    /// trivially valid on an empty read-set). Single-read transactions
-    /// — e.g. a whole `TMap` lookup — therefore never abort even when
-    /// chains overflow under scheduler preemption. Only a miss *after*
-    /// earlier reads fails, with [`AbortReason::SnapshotStale`]; the
-    /// retry loop re-pins a fresh transaction.
-    #[cfg(feature = "mvcc")]
-    fn snapshot_read<'g, T: TxValue, R>(
-        &mut self,
-        core: &'g TVarCore<T>,
-        addr: usize,
-        guard: &'g Guard,
-        f: &mut impl FnMut(&'g T) -> R,
-    ) -> TxResult<R> {
-        // `n_reads` was already bumped for this read by the caller.
-        let extendable = self.n_reads == 1;
-        let mut extends_left: u8 = 3;
-        loop {
-            match core.read_at_with(self.rv, guard, f) {
-                Ok((value, via_chain)) => {
-                    if let Some(stamp) = via_chain {
-                        trc::snapshot_read(self.rv, stamp);
-                    }
-                    return Ok(value);
-                }
-                Err(crate::tvar::SnapshotMiss) => {
-                    if extendable && extends_left > 0 {
-                        extends_left -= 1;
-                        if let Some(claim) = self.snap.as_mut() {
-                            let old_rv = self.rv;
-                            if claim.refresh() {
-                                self.rv = claim.rv();
-                                trc::snap_extend(old_rv, self.rv, addr);
-                                continue;
-                            }
-                        }
-                    }
-                    return Err(self.fail_at(AbortReason::SnapshotStale, addr));
-                }
             }
         }
     }

@@ -1,10 +1,23 @@
 //! STM torture tests: serializability anomalies, reclamation soundness,
 //! and commit-storm consistency under real threads.
+//!
+//! All tests in this file serialise on one mutex: the epoch collector is
+//! process-global, so a sibling test's pinned threads would hold back
+//! the epoch that `superseded_snapshots_are_reclaimed` waits on, and
+//! every test here pins (each transaction attempt does).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rubic_stm::{Stm, TVar};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Write skew must be impossible: two transactions that each read the
 /// other's written variable cannot both commit on overlapping state.
@@ -12,6 +25,7 @@ use rubic_stm::{Stm, TVar};
 /// that are each individually safe.
 #[test]
 fn no_write_skew() {
+    let _serial = serial();
     for _ in 0..200 {
         let stm = Stm::default();
         let x = Arc::new(TVar::new(50i64));
@@ -62,6 +76,7 @@ fn no_write_skew() {
 /// Lost-update torture at higher thread counts and a hot single cell.
 #[test]
 fn hot_cell_no_lost_updates() {
+    let _serial = serial();
     let stm = Stm::default();
     let cell = Arc::new(TVar::new(0u64));
     let threads = 8;
@@ -87,6 +102,7 @@ fn hot_cell_no_lost_updates() {
 /// eventually release every superseded snapshot.
 #[test]
 fn superseded_snapshots_are_reclaimed() {
+    let _serial = serial();
     let tracker = Arc::new(());
     {
         let stm = Stm::default();
@@ -123,6 +139,7 @@ fn superseded_snapshots_are_reclaimed() {
 /// elements of the vector carry the same generation number).
 #[test]
 fn commit_storm_readers_see_generations() {
+    let _serial = serial();
     let stm = Stm::default();
     let cells: Arc<Vec<TVar<u64>>> = Arc::new((0..8).map(|_| TVar::new(0)).collect());
     let stop = Arc::new(AtomicU64::new(0));
@@ -173,6 +190,7 @@ fn commit_storm_readers_see_generations() {
 /// commit atomically and scale without pathological behaviour.
 #[test]
 fn wide_transactions() {
+    let _serial = serial();
     let stm = Stm::default();
     let cells: Vec<TVar<u64>> = (0..512).map(|_| TVar::new(1)).collect();
     let sum = stm.atomically(|tx| {
@@ -197,6 +215,7 @@ fn wide_transactions() {
 /// adjacent pairs in a ring; the ring total is invariant.
 #[test]
 fn ring_transfers_conserve_total() {
+    let _serial = serial();
     const N: usize = 16;
     let stm = Stm::default();
     let ring: Arc<Vec<TVar<i64>>> = Arc::new((0..N).map(|_| TVar::new(64)).collect());
@@ -230,6 +249,7 @@ fn ring_transfers_conserve_total() {
 /// conflict path is exercised by these tests at all).
 #[test]
 fn contention_produces_aborts() {
+    let _serial = serial();
     let stm = Stm::default();
     let cell = Arc::new(TVar::new(0u64));
     let handles: Vec<_> = (0..4)

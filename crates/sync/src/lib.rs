@@ -29,7 +29,7 @@
 #[cfg(not(rubic_check))]
 pub mod atomic {
     pub use std::sync::atomic::{
-        fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+        AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
     };
 }
 #[cfg(rubic_check)]

@@ -206,7 +206,6 @@ pub(crate) fn write_bundle(dir: &Path, input: &BundleInput<'_>) -> io::Result<Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::SnapStats;
 
     fn snapshot() -> MetricsSnapshot {
         MetricsSnapshot {
@@ -221,7 +220,7 @@ mod tests {
             commit_p50_ns: 100,
             commit_p99_ns: 900,
             level: 2,
-            snap: SnapStats::default(),
+            snap_demotes: 0,
             steals_local: 4,
             steals_remote: 1,
             top_conflicts: Vec::new(),
@@ -271,8 +270,6 @@ mod tests {
             lock_holds: 3,
             hold_p50_ns: 64,
             hold_p99_ns: 128,
-            snap_extends: 0,
-            version_prunes: 0,
         }];
         let snap = snapshot();
         let input = BundleInput {

@@ -319,16 +319,9 @@ impl TraceSession {
     #[must_use]
     #[allow(clippy::needless_pass_by_value)] // config structs move in
     pub fn start(cfg: TraceConfig) -> TraceSession {
-        // ordering: Relaxed on failure — a losing starter learns nothing
-        // from the current holder except "occupied" and retries; the
-        // winning Acquire pairs with teardown's Release store.
-        while SESSION_ACTIVE
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            rubic_sync::thread::sleep(Duration::from_millis(1));
-        }
+        acquire_session_slot();
         // A fresh session never inherits the previous one's requests.
+        // ordering: Relaxed — a request flag, like every other access.
         POSTMORTEM_REQUESTS.store(0, Ordering::Relaxed);
         let generation = GENERATION.fetch_add(1, Ordering::AcqRel) + 1;
         let state = Arc::new(SessionState {
@@ -424,8 +417,27 @@ impl TraceSession {
         let mut last_snapshot = Instant::now();
         housekeep(&self.state, &self.sink, &self.cfg, &mut last_snapshot);
         *STATE.lock() = None;
-        SESSION_ACTIVE.store(false, Ordering::Release);
+        release_session_slot();
     }
+}
+
+/// Waits for and claims the process-wide session slot. `ENABLED` is only
+/// ever true while the slot is held.
+fn acquire_session_slot() {
+    // ordering: Relaxed on failure — a losing starter learns nothing
+    // from the current holder except "occupied" and retries; the
+    // winning Acquire pairs with `release_session_slot`'s Release store.
+    while SESSION_ACTIVE
+        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+        .is_err()
+    {
+        rubic_sync::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Hands the session slot back; the session's teardown is complete.
+fn release_session_slot() {
+    SESSION_ACTIVE.store(false, Ordering::Release);
 }
 
 impl Drop for TraceSession {
@@ -586,8 +598,27 @@ mod tests {
     use super::*;
     use crate::event::codes;
 
+    /// Holds the session slot for a test's scope, so no sibling test's
+    /// session can be live while it runs; released even if the test
+    /// panics.
+    struct SlotGuard;
+
+    impl SlotGuard {
+        fn acquire() -> SlotGuard {
+            acquire_session_slot();
+            SlotGuard
+        }
+    }
+
+    impl Drop for SlotGuard {
+        fn drop(&mut self) {
+            release_session_slot();
+        }
+    }
+
     #[test]
     fn disabled_emit_is_a_no_op() {
+        let _slot = SlotGuard::acquire();
         // No session: must not panic, must not register anything.
         emit(EventKind::TxnBegin, 0, 0, 0, 0);
         note_conflict(0xAB, 0);

@@ -6,13 +6,13 @@
 //! write the new snapshot back. Structural sharing keeps updates at
 //! O(log n) allocation.
 //!
-//! Concurrency profile (documented in DESIGN.md §16): in the default
-//! single-version protocol, lookups *validate* against the root `TVar`
-//! and can therefore abort when any update to the same map commits
-//! concurrently — they are write-free, not conflict-free. Only under
-//! the `mvcc` feature's declared read-only mode ([`rubic_stm::Stm::
-//! read_only`]) do lookups pin a snapshot and become abort-free.
-//! Updates always serialise on the map's single root `TVar` — the
+//! Concurrency profile (documented in DESIGN.md §16): lookups read the
+//! root `TVar` at the transaction's read version and can therefore
+//! abort when an update to the same map commits concurrently — they
+//! are write-free, not conflict-free. A declared read-only lookup
+//! ([`rubic_stm::Stm::read_only`]) keeps no read set and, being a
+//! single read, extends past a newer root; it still aborts when it
+//! meets the root locked by a committing update. Updates always serialise on the map's single root `TVar` — the
 //! snapshot-map discipline standard for immutable-value STMs (Haskell/
 //! Clojure lineage) — which makes every update conflict with every
 //! other update on the same map, regardless of key. For the opposite

@@ -229,40 +229,6 @@ fn invariants_survive_chaos_aborts() {
     );
 }
 
-/// Declared read-only lookups on the B-tree commit abort-free under
-/// mvcc snapshot mode even while writers force splits and merges: the
-/// snapshot pins every node version on the descent path.
-#[cfg(feature = "mvcc")]
-#[test]
-fn mvcc_read_only_descents_are_abort_free() {
-    let stm = Stm::builder().mvcc(true).build();
-    let map: Arc<TBTreeMap<u64, u64>> = Arc::new(TBTreeMap::new());
-    for k in 0..128 {
-        stm.atomically(|tx| map.insert(tx, k, k));
-    }
-    let before = stm.stats().snapshot();
-    let writer = {
-        let stm = stm.clone();
-        let map = Arc::clone(&map);
-        std::thread::spawn(move || {
-            for k in 128..600 {
-                stm.atomically(|tx| map.insert(tx, k, k));
-                stm.atomically(|tx| map.remove(tx, &(k - 100)));
-            }
-        })
-    };
-    for round in 0..600u64 {
-        let key = round % 128;
-        // Keys 0..28 are never removed (writer deletes 28..500).
-        let got = stm.read_only(|tx| map.get(tx, &(key % 28)));
-        assert_eq!(got, Some(key % 28));
-    }
-    writer.join().expect("writer");
-    let delta = stm.stats().snapshot().delta_since(&before);
-    assert!(delta.ro_commits >= 600, "read-only lookups should commit");
-    assert_eq!(delta.ro_aborts, 0, "mvcc descents must be abort-free");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -2,6 +2,7 @@
 //! plain model, atomicity of arbitrary multi-variable updates, and
 //! snapshot-consistency invariants.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -283,10 +284,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Single-version read-only transactions (`Stm::read_only` without mvcc
-// mode): TL2's read-only protocol keeps no read set and requires every
-// read to be unlocked at `version <= rv`. These properties hold it to
-// the classic protocol's guarantees.
+// Read-only transactions (`Stm::read_only`): TL2's read-only protocol
+// keeps no read set and requires every read to be unlocked at
+// `version <= rv`. These properties hold it to the classic protocol's
+// guarantees.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -337,6 +338,87 @@ proptest! {
             w.join().unwrap();
         }
         prop_assert_eq!(stm.stats().ro_commits(), sums);
+    }
+
+    /// Read-only transactions observe a serial prefix: a writer stamps
+    /// every cell with the same generation per transaction, so any
+    /// mixture of generations inside one read-only transaction would
+    /// expose a non-serial state. Successive read-only transactions on
+    /// one reader must also never move backwards. The writer keeps
+    /// committing until both readers are done, so every read-only
+    /// transaction races it.
+    #[test]
+    fn read_only_observes_a_serial_prefix(
+        generations in 8u64..96,
+        reads_per_reader in 16usize..128,
+    ) {
+        let stm = Stm::default();
+        let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..6).map(|_| TVar::new(0)).collect());
+        let readers_left = Arc::new(AtomicUsize::new(2));
+
+        let writer = {
+            let stm = stm.clone();
+            let vars = Arc::clone(&vars);
+            let readers_left = Arc::clone(&readers_left);
+            std::thread::spawn(move || {
+                let mut g = 0u64;
+                while g < generations || readers_left.load(Ordering::Acquire) > 0 {
+                    g += 1;
+                    stm.atomically(|tx| {
+                        for v in vars.iter() {
+                            tx.write(v, g)?;
+                        }
+                        Ok(())
+                    });
+                }
+                g
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let stm = stm.clone();
+                let vars = Arc::clone(&vars);
+                let readers_left = Arc::clone(&readers_left);
+                std::thread::spawn(move || {
+                    let mut last = 0u64;
+                    let mut n = 0usize;
+                    let mut verdict = Ok(());
+                    // Until the reader has seen the writer at work, too.
+                    while n < reads_per_reader || last == 0 {
+                        let gens = stm.read_only(|tx| {
+                            let mut out = [0u64; 6];
+                            for (slot, v) in out.iter_mut().zip(vars.iter()) {
+                                *slot = tx.read(v)?;
+                                // Widen the window a commit can land in.
+                                std::thread::yield_now();
+                            }
+                            Ok(out)
+                        });
+                        if gens.iter().any(|&g| g != gens[0]) {
+                            verdict = Err(format!("read-only transaction mixed generations: {gens:?}"));
+                            break;
+                        }
+                        if gens[0] < last {
+                            verdict = Err(format!("read-only transaction went backwards: {} < {last}", gens[0]));
+                            break;
+                        }
+                        last = gens[0];
+                        n += 1;
+                    }
+                    // Released on every path, or the writer never stops.
+                    readers_left.fetch_sub(1, Ordering::Release);
+                    verdict
+                })
+            })
+            .collect();
+        let verdicts: Vec<Result<(), String>> =
+            readers.into_iter().map(|r| r.join().unwrap()).collect();
+        let written = writer.join().unwrap();
+        for verdict in verdicts {
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+        prop_assert!(written >= generations);
+        prop_assert_eq!(vars[0].snapshot(), written);
     }
 
     /// Uncontended read-only bodies record no read set whatever they

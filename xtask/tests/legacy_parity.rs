@@ -23,13 +23,12 @@ mod legacy {
 
     const COMMENT_WINDOW: usize = 10;
     const FACADE_CRATES: [&str; 2] = ["crates/sync", "crates/check"];
-    const HOT_PATH_FILES: [&str; 6] = [
+    const HOT_PATH_FILES: [&str; 5] = [
         "crates/stm/src/txn.rs",
         "crates/stm/src/vlock.rs",
         "crates/stm/src/clock.rs",
         "crates/stm/src/tvar.rs",
         "crates/stm/src/index.rs",
-        "crates/stm/src/snap.rs",
     ];
 
     pub struct Violation {
@@ -318,10 +317,10 @@ fn snippet_verdicts_agree() {
         ),
         ("crates/stm/src/vlock.rs", "let t = Instant::now();\n"),
         ("crates/stm/src/stats.rs", "let t = Instant::now();\n"),
-        ("crates/stm/src/snap.rs", "fence(Ordering::AcqRel);\n"),
-        ("crates/stm/src/snap.rs", "fence(Ordering::SeqCst);\n"),
+        ("crates/stm/src/clock.rs", "fence(Ordering::AcqRel);\n"),
+        ("crates/stm/src/clock.rs", "fence(Ordering::SeqCst);\n"),
         (
-            "crates/stm/src/snap.rs",
+            "crates/stm/src/clock.rs",
             "// ordering: pairs the slot store with the clock re-read\nfence(Ordering::AcqRel);\n",
         ),
         ("crates/check/src/x.rs", "fence(Ordering::AcqRel);\n"),
